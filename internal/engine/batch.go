@@ -265,13 +265,28 @@ func openAndDrain(ctx *Context, n Node, counters *cost.Counters) ([]value.Row, e
 	return drainRows(op)
 }
 
-// arenaChunk is the value count of one arena slab in openAndDrainArena.
+// arenaChunk is the largest arena slab, in values; see growArena.
 const arenaChunk = 8192
 
+// growArena returns arena when it has room for need more values, and a
+// fresh slab otherwise. A consumer's first slab is sized to need and each
+// later one doubles, up to arenaChunk (or need, when larger), so a morsel
+// that keeps a handful of rows never pays for zeroing a full arenaChunk
+// slab, while a large drain still allocates once per arenaChunk values.
+// The old slab is left as is: rows already pointing into it stay valid.
+//
+//qo:hotpath
+func growArena(arena []value.Value, need int) []value.Value {
+	if cap(arena)-len(arena) >= need {
+		return arena
+	}
+	return make([]value.Value, 0, max(need, min(2*cap(arena), arenaChunk)))
+}
+
 // openAndDrainArena is openAndDrain for consumers that keep the whole row
-// set alive together (the hash-join build side): instead of one heap
-// allocation per row, row storage comes from shared arena slabs — one
-// allocation per arenaChunk values. Rows are views into a slab and must be
+// set alive together (the hash-join build side, both merge-join inputs):
+// instead of one heap allocation per row, row storage comes from shared
+// arena slabs (see growArena). Rows are views into a slab and must be
 // treated as immutable; a slab is never grown once rows point into it.
 func openAndDrainArena(ctx *Context, n Node, counters *cost.Counters) ([]value.Row, error) {
 	op := n.Stream()
@@ -294,18 +309,16 @@ func openAndDrainArena(ctx *Context, n Node, counters *cost.Counters) ([]value.R
 }
 
 // appendArenaRows clones the batch's rows onto rows, drawing row storage
-// from shared arena slabs — one allocation per arenaChunk values instead
-// of one per row. The appended rows are immutable views into the slab;
-// callers thread the returned arena through successive calls so a slab's
-// free tail carries across batches.
+// from shared arena slabs (see growArena) instead of one allocation per
+// row; zero-width rows take no slab at all. The appended rows are
+// immutable views into the slab; callers thread the returned arena
+// through successive calls so a slab's free tail carries across batches.
 //
 //qo:hotpath
 func appendArenaRows(rows []value.Row, arena []value.Value, b *Batch) ([]value.Row, []value.Value) {
 	cols := b.Cols()
 	w := len(cols)
-	if need := b.Len() * w; cap(arena)-len(arena) < need {
-		arena = make([]value.Value, 0, max(arenaChunk, need))
-	}
+	arena = growArena(arena, b.Len()*w)
 	for i := 0; i < b.Len(); i++ {
 		start := len(arena)
 		for c := 0; c < w; c++ {

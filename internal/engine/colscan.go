@@ -57,8 +57,11 @@ func (m ScanMode) String() string {
 // encoding, compiled probes (immutable, safe across workers), and the
 // unbound residual. Built once at Open / openMorsels.
 type encScanSpec struct {
-	enc    *colstore.TableEncoding
-	mode   ScanMode
+	enc  *colstore.TableEncoding
+	mode ScanMode
+	// cols are the table ordinals the scan outputs; output column c
+	// decodes encoded column cols[c].
+	cols   []int
 	probes []colstore.Probe
 	// residual is the filter minus the pushed prefix (ScanLate with
 	// probes); each consumer binds its own copy.
@@ -71,8 +74,8 @@ type encScanSpec struct {
 // the scan must stay on the row path: row mode requested, no encodings
 // in the context, the table missing from the set, or the encoding stale
 // (built at a different row count than the table currently has — the
-// silent-fallback staleness guard).
-func prepareEncScan(ctx *Context, t *storage.Table, schema expr.RelSchema, s *SeqScan) *encScanSpec {
+// silent-fallback staleness guard). cols are the scan's output ordinals.
+func prepareEncScan(ctx *Context, t *storage.Table, cols []int, s *SeqScan) *encScanSpec {
 	if s.Mode == ScanRows || ctx.Encodings == nil {
 		return nil
 	}
@@ -80,9 +83,12 @@ func prepareEncScan(ctx *Context, t *storage.Table, schema expr.RelSchema, s *Se
 	if !ok || enc.Rows() != t.NumRows() {
 		return nil
 	}
-	spec := &encScanSpec{enc: enc, mode: s.Mode, residual: s.Filter}
+	spec := &encScanSpec{enc: enc, mode: s.Mode, cols: cols, residual: s.Filter}
 	if s.Mode == ScanLate {
-		bounds, residual := expr.SplitPushdown(s.Filter, schema)
+		// Split against the full table schema, so every bound's Col is
+		// already the table ordinal CompileProbe expects, whichever
+		// columns the scan outputs.
+		bounds, residual := expr.SplitPushdown(s.Filter, expr.SchemaForTable(t.Schema()))
 		probes := make([]colstore.Probe, 0, len(bounds))
 		for _, b := range bounds {
 			pr, ok := enc.CompileProbe(colstore.Pred{
@@ -203,14 +209,14 @@ func (e *encScan) window(out *Batch, full *expr.Bound, next, end int, counters *
 			}
 			e.sel, e.sel2 = src, dst
 			if len(src) > 0 {
-				for c := range out.cols {
-					out.cols[c] = enc.AppendColSel(out.cols[c], c, si, lo, src)
+				for c, tc := range spec.cols {
+					out.cols[c] = enc.AppendColSel(out.cols[c], tc, si, lo, src)
 				}
 				out.n += len(src)
 			}
 		} else {
-			for c := range out.cols {
-				out.cols[c] = enc.AppendColRange(out.cols[c], c, lo, stop)
+			for c, tc := range spec.cols {
+				out.cols[c] = enc.AppendColRange(out.cols[c], tc, lo, stop)
 			}
 			out.n += stop - lo
 		}

@@ -112,8 +112,8 @@ type hashJoinMorselWorker struct {
 }
 
 // runMorsel joins one probe morsel against the shared table. Output rows
-// are concatenated into arena slabs — one allocation per arenaChunk
-// values rather than one per match — and the row-header slice is sized
+// are concatenated into arena slabs (see growArena) rather than one
+// allocation per match, and the row-header slice is sized
 // to the probe count up front, which covers the common at-most-one-match
 // joins without a single growth step.
 //
@@ -135,10 +135,7 @@ func (w *hashJoinMorselWorker) runMorsel(m int, counters *cost.Counters) ([]valu
 		for idx := table.first(pRow[w.r.pIdx]); idx >= 0; idx = table.next[idx] {
 			counters.Tuples++
 			bRow := table.rows[idx]
-			if need := len(bRow) + len(pRow); cap(arena)-len(arena) < need {
-				//qo:alloc-ok one slab per arenaChunk values, amortized across matches
-				arena = make([]value.Value, 0, max(arenaChunk, need))
-			}
+			arena = growArena(arena, len(bRow)+len(pRow))
 			start := len(arena)
 			arena = append(arena, bRow...)
 			arena = append(arena, pRow...)

@@ -59,7 +59,7 @@ func ExecuteMaterialized(ctx *Context, n Node, counters *cost.Counters) (*Result
 }
 
 func (s *SeqScan) runMaterialized(ctx *Context, counters *cost.Counters) (*Result, error) {
-	t, schema, err := tableAndSchema(ctx, s.Table)
+	t, schema, cols, err := scanTable(ctx, s.Table, s.Cols)
 	if err != nil {
 		return nil, err
 	}
@@ -67,8 +67,7 @@ func (s *SeqScan) runMaterialized(ctx *Context, counters *cost.Counters) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	nCols := len(schema.Fields)
-	buf := make(value.Row, nCols)
+	buf := make(value.Row, len(cols))
 	var rows []value.Row
 	// Walk the surviving shards' spans; the per-span first-tuple-in-window
 	// page charge sums to exactly NumPages when nothing is pruned.
@@ -77,7 +76,7 @@ func (s *SeqScan) runMaterialized(ctx *Context, counters *cost.Counters) (*Resul
 		counters.SeqPages += int64((sp.hi+per-1)/per - (sp.lo+per-1)/per)
 		counters.Tuples += int64(sp.hi - sp.lo)
 		for r := sp.lo; r < sp.hi; r++ {
-			t.ReadRow(r, buf)
+			t.ReadRowCols(r, cols, buf)
 			ok, err := pred.Eval(buf)
 			if err != nil {
 				return nil, fmt.Errorf("engine: SeqScan(%s): %v", s.Table, err)
@@ -91,7 +90,7 @@ func (s *SeqScan) runMaterialized(ctx *Context, counters *cost.Counters) (*Resul
 }
 
 func (s *IndexRangeScan) runMaterialized(ctx *Context, counters *cost.Counters) (*Result, error) {
-	t, schema, err := tableAndSchema(ctx, s.Table)
+	t, schema, cols, err := scanTable(ctx, s.Table, s.Cols)
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +108,7 @@ func (s *IndexRangeScan) runMaterialized(ctx *Context, counters *cost.Counters) 
 	rids = pruneRids(t, s.Partitions, rids)
 	counters.RandPages += int64(len(rids))
 	counters.Tuples += int64(len(rids))
-	rows, err := fetchFiltered(t, schema, rids, pred)
+	rows, err := fetchFiltered(t, cols, rids, pred)
 	if err != nil {
 		return nil, fmt.Errorf("engine: IndexRangeScan(%s): %v", s.Table, err)
 	}
@@ -120,7 +119,7 @@ func (s *IndexIntersect) runMaterialized(ctx *Context, counters *cost.Counters) 
 	if len(s.Ranges) == 0 {
 		return nil, fmt.Errorf("engine: IndexIntersect(%s) with no ranges", s.Table)
 	}
-	t, schema, err := tableAndSchema(ctx, s.Table)
+	t, schema, cols, err := scanTable(ctx, s.Table, s.Cols)
 	if err != nil {
 		return nil, err
 	}
@@ -143,7 +142,7 @@ func (s *IndexIntersect) runMaterialized(ctx *Context, counters *cost.Counters) 
 	rids := pruneRids(t, s.Partitions, index.Intersect(lists...))
 	counters.RandPages += int64(len(rids))
 	counters.Tuples += int64(len(rids))
-	rows, err := fetchFiltered(t, schema, rids, pred)
+	rows, err := fetchFiltered(t, cols, rids, pred)
 	if err != nil {
 		return nil, fmt.Errorf("engine: IndexIntersect(%s): %v", s.Table, err)
 	}
@@ -431,7 +430,7 @@ func (j *INLJoin) runMaterialized(ctx *Context, counters *cost.Counters) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	inner, innerSchema, err := tableAndSchema(ctx, j.InnerTable)
+	inner, innerSchema, innerCols, err := scanTable(ctx, j.InnerTable, j.InnerCols)
 	if err != nil {
 		return nil, err
 	}
@@ -446,9 +445,9 @@ func (j *INLJoin) runMaterialized(ctx *Context, counters *cost.Counters) (*Resul
 	}
 	usePK := inner.Schema().PrimaryKey == j.InnerCol
 	var rows []value.Row
-	innerBuf := make(value.Row, len(innerSchema.Fields))
+	innerBuf := make(value.Row, len(innerCols))
 	emit := func(oRow value.Row, rid int) error {
-		inner.ReadRow(rid, innerBuf)
+		inner.ReadRowCols(rid, innerCols, innerBuf)
 		out := make(value.Row, 0, len(oRow)+len(innerBuf))
 		out = append(out, oRow...)
 		out = append(out, innerBuf...)

@@ -115,7 +115,7 @@ type morselStatsFeeder interface {
 // at Open; the filter is bound once here so malformed predicates fail at
 // Open exactly as they do serially.
 func (s *SeqScan) openMorsels(ctx *Context, _ *cost.Counters, _ int) (morselRunner, error) {
-	t, schema, err := tableAndSchema(ctx, s.Table)
+	t, schema, cols, err := scanTable(ctx, s.Table, s.Cols)
 	if err != nil {
 		return nil, err
 	}
@@ -124,8 +124,8 @@ func (s *SeqScan) openMorsels(ctx *Context, _ *cost.Counters, _ int) (morselRunn
 	}
 	morsels, shards := spanMorselsShards(scanSpans(t, s.Partitions))
 	return &seqMorselRunner{
-		node: s, t: t, schema: schema,
-		spec:    prepareEncScan(ctx, t, schema, s),
+		node: s, t: t, schema: schema, cols: cols,
+		spec:    prepareEncScan(ctx, t, cols, s),
 		morsels: morsels, shards: shards,
 	}, nil
 }
@@ -137,6 +137,7 @@ type seqMorselRunner struct {
 	// worker derives its own mutable encScan state from it.
 	spec   *encScanSpec
 	schema expr.RelSchema
+	cols   []int
 	// morsels are the shard-major (shard, morsel) work units: ascending
 	// row-id windows, each inside one surviving shard. The Exchange's
 	// merge-by-morsel-index therefore reproduces global row-id order.
@@ -203,14 +204,10 @@ func (w *seqMorselWorker) runMorsel(m int, counters *cost.Counters) ([]value.Row
 			continue
 		}
 		w.out.Reset()
-		// Column-wise load of the row window [next, end) — the same
+		// Column-wise bulk load of the row window [next, end) — the same
 		// windows, charges, and filter evaluation as seqScanOp.Next.
-		for c := range w.out.cols {
-			col := w.out.cols[c]
-			for r := next; r < end; r++ {
-				col = append(col, t.Value(r, c))
-			}
-			w.out.cols[c] = col
+		for c, tc := range w.r.cols {
+			w.out.cols[c] = t.AppendColumn(w.out.cols[c], tc, next, end)
 		}
 		w.out.n = end - next
 		const per = storage.TuplesPerPage
@@ -239,7 +236,7 @@ func (w *seqMorselWorker) release() {
 // openMorsels implements morselSource: the index seek happens here, on
 // the coordinator, with the same charges as the serial Open.
 func (s *IndexRangeScan) openMorsels(ctx *Context, counters *cost.Counters, _ int) (morselRunner, error) {
-	t, schema, err := tableAndSchema(ctx, s.Table)
+	t, schema, cols, err := scanTable(ctx, s.Table, s.Cols)
 	if err != nil {
 		return nil, err
 	}
@@ -255,7 +252,7 @@ func (s *IndexRangeScan) openMorsels(ctx *Context, counters *cost.Counters, _ in
 	counters.IndexEntries += int64(scanned)
 	rids = pruneRids(t, s.Partitions, rids)
 	return &ridMorselRunner{
-		t: t, schema: schema, residual: s.Residual, rids: rids,
+		t: t, schema: schema, cols: cols, residual: s.Residual, rids: rids,
 		errCtx: fmt.Sprintf("IndexRangeScan(%s)", s.Table),
 	}, nil
 }
@@ -267,7 +264,7 @@ func (s *IndexIntersect) openMorsels(ctx *Context, counters *cost.Counters, _ in
 	if len(s.Ranges) == 0 {
 		return nil, fmt.Errorf("engine: IndexIntersect(%s) with no ranges", s.Table)
 	}
-	t, schema, err := tableAndSchema(ctx, s.Table)
+	t, schema, cols, err := scanTable(ctx, s.Table, s.Cols)
 	if err != nil {
 		return nil, err
 	}
@@ -288,7 +285,7 @@ func (s *IndexIntersect) openMorsels(ctx *Context, counters *cost.Counters, _ in
 	}
 	rids := pruneRids(t, s.Partitions, index.Intersect(lists...))
 	return &ridMorselRunner{
-		t: t, schema: schema, residual: s.Residual, rids: rids,
+		t: t, schema: schema, cols: cols, residual: s.Residual, rids: rids,
 		errCtx: fmt.Sprintf("IndexIntersect(%s)", s.Table),
 	}, nil
 }
@@ -299,6 +296,7 @@ func (s *IndexIntersect) openMorsels(ctx *Context, counters *cost.Counters, _ in
 type ridMorselRunner struct {
 	t        *storage.Table
 	schema   expr.RelSchema
+	cols     []int
 	residual expr.Expr
 	rids     []int32
 	errCtx   string
@@ -315,7 +313,7 @@ func (r *ridMorselRunner) newWorker() (morselWorker, error) {
 	}
 	return &ridMorselWorker{
 		r: r, pred: pred, out: getBatch(r.schema),
-		buf: make(value.Row, len(r.schema.Fields)),
+		buf: make(value.Row, len(r.cols)),
 	}, nil
 }
 
@@ -344,7 +342,7 @@ func (w *ridMorselWorker) runMorsel(m int, counters *cost.Counters) ([]value.Row
 		for _, rid := range rids[next:end] {
 			counters.RandPages++
 			counters.Tuples++
-			w.r.t.ReadRow(int(rid), w.buf)
+			w.r.t.ReadRowCols(int(rid), w.r.cols, w.buf)
 			w.out.AppendRow(w.buf)
 		}
 		w.sel = identSel(w.sel, w.out.Len())

@@ -185,6 +185,7 @@ func (o *Optimizer) Optimize(q *Query) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
+	p.projectColumns(root)
 	if o.MaxDOP >= 2 {
 		root = p.parallelize(root)
 	}

@@ -315,3 +315,66 @@ func TestSinglePartitionDegenerate(t *testing.T) {
 		t.Error("1-partition table claimed to prune")
 	}
 }
+
+// TestBulkReadsMatchValue pins AppendColumn and ReadRowCols to the
+// per-cell Value accessor on a partitioned table with every column kind
+// and two empty shards: every window, including ones crossing shard
+// boundaries, and every column subset read in any order.
+func TestBulkReadsMatchValue(t *testing.T) {
+	schema := &catalog.TableSchema{
+		Name: "bulk",
+		Columns: []catalog.Column{
+			{Name: "id", Type: catalog.Int},
+			{Name: "k", Type: catalog.Int},
+			{Name: "d", Type: catalog.Date},
+			{Name: "x", Type: catalog.Float},
+			{Name: "s", Type: catalog.String},
+		},
+		PrimaryKey: "id",
+		// Keys fall in [0, 1000): shards 2 and 3 stay empty.
+		Partition: &catalog.PartitionSpec{Column: "k", Kind: catalog.RangePartition, Partitions: 4, Bounds: []int64{300, 1500, 1600}},
+	}
+	tab, err := NewTable(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	const n = 500
+	for i := 0; i < n; i++ {
+		r := value.Row{
+			value.Int(int64(i)),
+			value.Int(int64(rng.Intn(1000))),
+			value.Date(int64(rng.Intn(3000))),
+			value.Float(rng.Float64()),
+			value.Str(strings.Repeat("y", 1+rng.Intn(4))),
+		}
+		if err := tab.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, w := range [][2]int{{0, n}, {0, 1}, {n - 1, n}, {250, 260}, {0, 0}} {
+		lo, hi := w[0], w[1]
+		for c := range schema.Columns {
+			got := tab.AppendColumn([]value.Value{value.Str("keep")}, c, lo, hi)
+			if len(got) != 1+hi-lo || got[0] != value.Str("keep") {
+				t.Fatalf("AppendColumn(col %d, [%d,%d)): len %d, want %d after the kept prefix", c, lo, hi, len(got), 1+hi-lo)
+			}
+			for r := lo; r < hi; r++ {
+				if got[1+r-lo] != tab.Value(r, c) {
+					t.Fatalf("AppendColumn(col %d) row %d = %v, want %v", c, r, got[1+r-lo], tab.Value(r, c))
+				}
+			}
+		}
+	}
+	for _, cols := range [][]int{{}, {2}, {4, 0}, {0, 1, 2, 3, 4}} {
+		dst := make(value.Row, len(cols))
+		for r := 0; r < n; r += 7 {
+			tab.ReadRowCols(r, cols, dst)
+			for i, c := range cols {
+				if dst[i] != tab.Value(r, c) {
+					t.Fatalf("ReadRowCols(row %d, %v)[%d] = %v, want %v", r, cols, i, dst[i], tab.Value(r, c))
+				}
+			}
+		}
+	}
+}

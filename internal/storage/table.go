@@ -263,20 +263,24 @@ func typeCompatible(col, val catalog.Type) bool {
 	return (col == catalog.Date && val == catalog.Int) || (col == catalog.Int && val == catalog.Date)
 }
 
+// at returns the value at segment-local row i, boxed by column kind.
+func (c *columnData) at(i int) value.Value {
+	switch c.kind {
+	case catalog.Int:
+		return value.Int(c.ints[i])
+	case catalog.Date:
+		return value.Date(c.ints[i])
+	case catalog.Float:
+		return value.Float(c.floats[i])
+	default:
+		return value.Str(c.strs[i])
+	}
+}
+
 // Value returns the value at (row, col); row is a global row id.
 func (t *Table) Value(row, col int) value.Value {
 	p, local := t.segOf(row)
-	c := &t.segs[p].cols[col]
-	switch c.kind {
-	case catalog.Int:
-		return value.Int(c.ints[local])
-	case catalog.Date:
-		return value.Date(c.ints[local])
-	case catalog.Float:
-		return value.Float(c.floats[local])
-	default:
-		return value.Str(c.strs[local])
-	}
+	return t.segs[p].cols[col].at(local)
 }
 
 // ReadRow fills dst (which must have len == number of columns) with the
@@ -285,18 +289,59 @@ func (t *Table) ReadRow(row int, dst value.Row) {
 	p, local := t.segOf(row)
 	cols := t.segs[p].cols
 	for i := range cols {
-		c := &cols[i]
+		dst[i] = cols[i].at(local)
+	}
+}
+
+// ReadRowCols fills dst[i] with the value of column cols[i] of the given
+// row: ReadRow restricted to the columns a projected scan outputs. dst
+// must have len(cols) slots.
+//
+//qo:hotpath
+func (t *Table) ReadRowCols(row int, cols []int, dst value.Row) {
+	p, local := t.segOf(row)
+	segCols := t.segs[p].cols
+	for i, c := range cols {
+		dst[i] = segCols[c].at(local)
+	}
+}
+
+// AppendColumn appends the values of column col for the global rows
+// [lo, hi), which must lie within [0, NumRows()), to dst and returns the
+// extended slice. The owning shard is located once per shard the range
+// touches, not once per cell, and each shard's run is boxed straight from
+// its typed payload.
+//
+//qo:hotpath
+func (t *Table) AppendColumn(dst []value.Value, col, lo, hi int) []value.Value {
+	for lo < hi {
+		p, local := t.segOf(lo)
+		n := min(hi-lo, t.segs[p].rows-local)
+		if n <= 0 {
+			break // past the last row
+		}
+		c := &t.segs[p].cols[col]
 		switch c.kind {
 		case catalog.Int:
-			dst[i] = value.Int(c.ints[local])
+			for _, v := range c.ints[local : local+n] {
+				dst = append(dst, value.Int(v))
+			}
 		case catalog.Date:
-			dst[i] = value.Date(c.ints[local])
+			for _, v := range c.ints[local : local+n] {
+				dst = append(dst, value.Date(v))
+			}
 		case catalog.Float:
-			dst[i] = value.Float(c.floats[local])
+			for _, v := range c.floats[local : local+n] {
+				dst = append(dst, value.Float(v))
+			}
 		default:
-			dst[i] = value.Str(c.strs[local])
+			for _, v := range c.strs[local : local+n] {
+				dst = append(dst, value.Str(v))
+			}
 		}
+		lo += n
 	}
+	return dst
 }
 
 // Row returns a freshly allocated copy of the given row.
