@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint vet fuzz-smoke bench-smoke ledger-smoke serve-smoke qbench ci
+.PHONY: build test race lint vet fuzz-smoke bench-smoke ledger-smoke serve-smoke qbench qbench-check ci
 
 build:
 	$(GO) build ./...
@@ -59,4 +59,10 @@ qbench:
 		echo "$$out" | tail -n 1; \
 	done
 
-ci: build lint race fuzz-smoke bench-smoke ledger-smoke serve-smoke
+# qbench-check vets and tests the benchmark harness. qbench is a nested
+# module, so the root build and tests never compile it; this target
+# catches internal API changes that would break the benchmark.
+qbench-check:
+	cd qbench && $(GO) vet ./... && $(GO) test ./...
+
+ci: build lint race fuzz-smoke bench-smoke ledger-smoke serve-smoke qbench-check

@@ -15,6 +15,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -35,6 +36,7 @@ import (
 	"robustqo/internal/optimizer"
 	"robustqo/internal/plancache"
 	"robustqo/internal/sample"
+	"robustqo/internal/session"
 	"robustqo/internal/sqlparse"
 	"robustqo/internal/stats"
 	"robustqo/internal/tpch"
@@ -76,36 +78,6 @@ type report struct {
 	NoGoroutineLeak  bool     `json:"no_goroutine_leak"`
 	LatencyQPSWaived bool     `json:"latency_qps_waived"`
 	WaivedGates      []string `json:"waived_gates"`
-}
-
-// corpus is the same 40-query workload `robustqo ledger run` and the
-// differential tests execute: four SPJ shapes with literals swept so
-// same-shape queries share a plan-cache template but not bindings.
-func corpus() []string {
-	months := []string{"01", "03", "05", "07", "09"}
-	var qs []string
-	for i := 0; i < 40; i++ {
-		v := i / 4
-		switch i % 4 {
-		case 0:
-			qs = append(qs, fmt.Sprintf(
-				"SELECT COUNT(*) AS n FROM lineitem WHERE l_quantity < %d", 3+v*5))
-		case 1:
-			m := months[v%len(months)]
-			qs = append(qs, fmt.Sprintf(
-				"SELECT SUM(l_extendedprice) AS revenue FROM lineitem WHERE l_shipdate BETWEEN DATE '199%d-%s-01' AND DATE '199%d-%s-28'",
-				3+v%5, m, 3+v%5, m))
-		case 2:
-			qs = append(qs, fmt.Sprintf(
-				"SELECT COUNT(*) AS n FROM lineitem, orders WHERE o_totalprice < %d AND l_quantity >= %d",
-				2000+v*9000, 10+v))
-		case 3:
-			qs = append(qs, fmt.Sprintf(
-				"SELECT COUNT(*) AS n FROM lineitem, orders, part WHERE p_size < %d AND l_quantity < %d",
-				5+v*4, 45-v*2))
-		}
-	}
-	return qs
 }
 
 func main() {
@@ -164,10 +136,10 @@ func run(out string, lines, workers, requests int, repeat, minSpeedup, minHitRat
 	if err := optimizeSpeedup(cache, env, opt, &rep); err != nil {
 		return err
 	}
-	if err := loadPhase(ctx, cache, env, reg, workers, requests, repeat, &rep); err != nil {
+	if err := loadPhase(ctx, cache, est, reg, workers, requests, repeat, &rep); err != nil {
 		return err
 	}
-	if err := overloadPhase(ctx, cache, env, &rep); err != nil {
+	if err := overloadPhase(ctx, cache, est, &rep); err != nil {
 		return err
 	}
 
@@ -221,7 +193,7 @@ func run(out string, lines, workers, requests int, repeat, minSpeedup, minHitRat
 // optimizeSpeedup times a cold optimization against a warm cache lookup
 // for each of the four corpus shapes and gates the aggregate ratio.
 func optimizeSpeedup(cache *plancache.Cache, env plancache.Env, opt *optimizer.Optimizer, rep *report) error {
-	shapes := corpus()[:4]
+	shapes := tpch.FeedbackCorpus()[:4]
 	var coldTotal, hitTotal float64
 	for _, sqlText := range shapes {
 		q, err := sqlparse.Parse(sqlText)
@@ -266,33 +238,33 @@ func optimizeSpeedup(cache *plancache.Cache, env plancache.Env, opt *optimizer.O
 	return nil
 }
 
-// serveHandler is the minimal serving pipeline the load phases drive
-// over HTTP: admission, plan cache, execution.
-func serveHandler(ctx *engine.Context, cache *plancache.Cache, env plancache.Env, adm *plancache.Admission) http.HandlerFunc {
+// serveHandler drives the shared query pipeline with the plan cache
+// and an admission gate, and no instrumented sinks: a shed request is a
+// 429, a bad query a 400, an execution failure a 500.
+func serveHandler(ctx *engine.Context, cache *plancache.Cache, est core.Estimator, adm *plancache.Admission) http.HandlerFunc {
+	pipe := &session.Pipeline{Ctx: ctx, DOP: 1, Cache: cache, Admission: adm}
 	return func(w http.ResponseWriter, r *http.Request) {
-		release, err := adm.Admit(r.Context())
-		if err != nil {
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, err.Error(), http.StatusTooManyRequests)
-			return
-		}
-		defer release()
 		q, err := sqlparse.Parse(r.FormValue("sql"))
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		plan, _, err := cache.Plan(env, q)
+		x, err := pipe.Run(r.Context(), "", q, est)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			var perr *session.Error
+			errors.As(err, &perr)
+			switch perr.Stage {
+			case session.Admit:
+				w.Header().Set("Retry-After", "1")
+				http.Error(w, err.Error(), http.StatusTooManyRequests)
+			case session.Optimize:
+				http.Error(w, err.Error(), http.StatusBadRequest)
+			default:
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+			}
 			return
 		}
-		res, _, _, err := engine.Run(ctx, plan.Root)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		fmt.Fprintf(w, "%d rows\n", len(res.Rows))
+		fmt.Fprintf(w, "%d rows\n", len(x.Result.Rows))
 	}
 }
 
@@ -300,12 +272,12 @@ func serveHandler(ctx *engine.Context, cache *plancache.Cache, env plancache.Env
 // probability repeat each request re-issues a binding the worker has
 // already sent (a template the cache has seen), otherwise it advances
 // to the next binding in the sweep.
-func loadPhase(ctx *engine.Context, cache *plancache.Cache, env plancache.Env, reg *obs.Registry, workers, requests int, repeat float64, rep *report) error {
+func loadPhase(ctx *engine.Context, cache *plancache.Cache, est core.Estimator, reg *obs.Registry, workers, requests int, repeat float64, rep *report) error {
 	adm := plancache.NewAdmission(plancache.AdmissionConfig{
 		Slots: 2 * runtime.NumCPU(), MaxQueue: workers * requests,
 		QueueTimeout: time.Minute,
 	}, 2*runtime.NumCPU(), reg)
-	ts := httptest.NewServer(serveHandler(ctx, cache, env, adm))
+	ts := httptest.NewServer(serveHandler(ctx, cache, est, adm))
 	defer ts.Close()
 
 	// Counter baselines: the optimize-speedup benchmark already drove
@@ -318,7 +290,7 @@ func loadPhase(ctx *engine.Context, cache *plancache.Cache, env plancache.Env, r
 		"robustqo_plancache_rejects_total": reg.Counter("robustqo_plancache_rejects_total").Value(),
 	}
 
-	qs := corpus()
+	qs := tpch.FeedbackCorpus()
 	latencies := make([][]time.Duration, workers)
 	errs := make(chan error, workers)
 	start := time.Now()
@@ -391,17 +363,17 @@ func loadPhase(ctx *engine.Context, cache *plancache.Cache, env plancache.Env, r
 // overloadPhase slams a 2-slot, 2-seat admission gate with a burst four
 // times its capacity: responses must be only 200 or 429, some must be
 // shed, and every goroutine must unwind.
-func overloadPhase(ctx *engine.Context, cache *plancache.Cache, env plancache.Env, rep *report) error {
+func overloadPhase(ctx *engine.Context, cache *plancache.Cache, est core.Estimator, rep *report) error {
 	adm := plancache.NewAdmission(plancache.AdmissionConfig{
 		Slots: 2, MaxQueue: 2, QueueTimeout: 20 * time.Millisecond,
 	}, 2, nil)
-	ts := httptest.NewServer(serveHandler(ctx, cache, env, adm))
+	ts := httptest.NewServer(serveHandler(ctx, cache, est, adm))
 	defer ts.Close()
 
 	rep.GoroutinesBefore = runtime.NumGoroutine()
 	const burst = 16
 	rep.OverloadRequests = burst
-	sqlText := url.QueryEscape(corpus()[2])
+	sqlText := url.QueryEscape(tpch.FeedbackCorpus()[2])
 	codes := make([]int, burst)
 	var wg sync.WaitGroup
 	for i := 0; i < burst; i++ {

@@ -16,6 +16,7 @@ package main
 // different format version instead of misreading them.
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -23,13 +24,10 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"robustqo/internal/core"
-	"robustqo/internal/cost"
-	"robustqo/internal/engine"
 	"robustqo/internal/obs"
 	"robustqo/internal/obs/ledger"
-	"robustqo/internal/optimizer"
 	"robustqo/internal/sample"
+	"robustqo/internal/session"
 	"robustqo/internal/sqlparse"
 	"robustqo/internal/tpch"
 )
@@ -48,38 +46,6 @@ func runLedger(args []string, out io.Writer) error {
 	default:
 		return fmt.Errorf("ledger: unknown subcommand %q (want run, top, or drift)", args[0])
 	}
-}
-
-// corpusQueries is the deterministic workload `ledger run` executes:
-// forty SPJ queries cycling through four shapes — single-table range
-// aggregate, date-window scan, two-way join, three-way join — with
-// literals swept across magnitude bins so recurring predicate shapes
-// accumulate feedback while distinct bins stay distinct fingerprints.
-func corpusQueries() []string {
-	months := []string{"01", "03", "05", "07", "09"}
-	var qs []string
-	for i := 0; i < 40; i++ {
-		v := i / 4
-		switch i % 4 {
-		case 0:
-			qs = append(qs, fmt.Sprintf(
-				"SELECT COUNT(*) AS n FROM lineitem WHERE l_quantity < %d", 3+v*5))
-		case 1:
-			m := months[v%len(months)]
-			qs = append(qs, fmt.Sprintf(
-				"SELECT SUM(l_extendedprice) AS revenue FROM lineitem WHERE l_shipdate BETWEEN DATE '199%d-%s-01' AND DATE '199%d-%s-28'",
-				3+v%5, m, 3+v%5, m))
-		case 2:
-			qs = append(qs, fmt.Sprintf(
-				"SELECT COUNT(*) AS n FROM lineitem, orders WHERE o_totalprice < %d AND l_quantity >= %d",
-				2000+v*9000, 10+v))
-		case 3:
-			qs = append(qs, fmt.Sprintf(
-				"SELECT COUNT(*) AS n FROM lineitem, orders, part WHERE p_size < %d AND l_quantity < %d",
-				5+v*4, 45-v*2))
-		}
-	}
-	return qs
 }
 
 func runLedgerRun(args []string, out io.Writer) error {
@@ -105,19 +71,12 @@ func runLedgerRun(args []string, out io.Writer) error {
 		return fmt.Errorf("ledger run: unexpected arguments %v", fs.Args())
 	}
 	fmt.Fprintf(out, "generating TPC-H-like data (%d lineitem rows)...\n", *lines)
-	db, err := tpch.Generate(tpch.Config{Lines: *lines, Partitions: *partitions, Seed: *seed})
-	if err != nil {
-		return err
-	}
-	ctx, err := engine.NewContext(db)
+	ctx, est, err := buildSystem(tpch.Config{Lines: *lines, Partitions: *partitions, Seed: *seed},
+		*estimator, *threshold, *sampleSize)
 	if err != nil {
 		return err
 	}
 	ctx.Metrics = obs.Default
-	est, err := buildEstimator(db, *estimator, *threshold, *sampleSize, *seed)
-	if err != nil {
-		return err
-	}
 	led := ledger.New(*maxEntries)
 	led.Metrics = obs.Default
 
@@ -141,11 +100,24 @@ func runLedgerRun(args []string, out io.Writer) error {
 		slowMirror = fh
 	}
 	slow := obs.NewSlowLog(0, slowMirror)
-	active := obs.NewActiveQueries()
+	pipe := session.Pipeline{
+		Ctx:       ctx,
+		DOP:       *dop,
+		Metrics:   obs.Default,
+		Ledger:    led,
+		Live:      obs.NewActiveQueries(),
+		Events:    events,
+		Slow:      slow,
+		SlowAfter: time.Duration(*slowMS) * time.Millisecond,
+	}
 
-	queries := corpusQueries()
+	queries := tpch.FeedbackCorpus()
 	for _, sqlText := range queries {
-		if err := runLedgerQuery(ctx, est, *dop, sqlText, led, active, events, slow, *slowMS); err != nil {
+		q, err := sqlparse.Parse(sqlText)
+		if err == nil {
+			_, err = pipe.Run(context.Background(), sqlText, q, est)
+		}
+		if err != nil {
 			return fmt.Errorf("corpus query %q: %v", sqlText, err)
 		}
 	}
@@ -160,10 +132,8 @@ func runLedgerRun(args []string, out io.Writer) error {
 	if err := fh.Close(); err != nil {
 		return err
 	}
-	if events != nil {
-		if err := events.Err(); err != nil {
-			return err
-		}
+	if err := events.Err(); err != nil {
+		return err
 	}
 	if err := slow.Err(); err != nil {
 		return err
@@ -178,96 +148,6 @@ func runLedgerRun(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "\nper-table drift:\n")
 	renderDrift(out, led.Drift())
 	return nil
-}
-
-// runLedgerQuery optimizes and executes one corpus query with the full
-// lifecycle instrumentation: event log, live registry, ledger feedback,
-// and slow-query capture. It is the same lifecycle the serve subcommand
-// drives per request.
-func runLedgerQuery(ctx *engine.Context, est core.Estimator, dop int, sqlText string,
-	led *ledger.Ledger, active *obs.ActiveQueries, events *obs.EventLog,
-	slow *obs.SlowLog, slowMS int) error {
-	q := active.Begin(sqlText)
-	defer active.Done(q)
-	start := time.Now()
-	events.Emit(obs.Event{QueryID: q.ID, Event: "received", SQL: sqlText})
-	q.SetPhase(obs.PhaseParse)
-	query, err := sqlparse.Parse(sqlText)
-	if err != nil {
-		q.SetPhase(obs.PhaseFailed)
-		return err
-	}
-	q.SetPhase(obs.PhaseOptimize)
-	opt, err := optimizer.New(ctx, est)
-	if err != nil {
-		q.SetPhase(obs.PhaseFailed)
-		return err
-	}
-	opt.MaxDOP = dop
-	opt.Metrics = obs.Default
-	plan, err := opt.Optimize(query)
-	if err != nil {
-		q.SetPhase(obs.PhaseFailed)
-		return err
-	}
-	inst := engine.InstrumentOpts(plan.Root, engine.InstrumentOptions{
-		EstimateOf: plan.EstimateOf,
-		Ledger:     led,
-		QueryID:    q.ID,
-		Live:       q,
-	})
-	q.T = plan.Confidence()
-	q.DOP = dop
-	q.EstRows = plan.EstRows
-	q.PartsPruned, q.PartsTotal = planPruning(inst, plan.EstimateOf)
-	events.Emit(obs.Event{QueryID: q.ID, Event: "optimized", T: q.T, DOP: dop,
-		EstRows: plan.EstRows, PartsPruned: q.PartsPruned, PartsTotal: q.PartsTotal,
-		ElapsedUS: time.Since(start).Microseconds()})
-	q.SetPhase(obs.PhaseExecute)
-	var counters cost.Counters
-	res, err := inst.Execute(ctx, &counters)
-	if err != nil {
-		q.SetPhase(obs.PhaseFailed)
-		events.Emit(obs.Event{QueryID: q.ID, Event: "failed", Detail: err.Error()})
-		return err
-	}
-	counters.Output += int64(len(res.Rows))
-	q.SetPhase(obs.PhaseDone)
-	elapsed := time.Since(start)
-	obs.Default.Histogram("robustqo_query_latency_seconds", obs.LatencyBuckets).
-		Observe(elapsed.Seconds())
-	events.Emit(obs.Event{QueryID: q.ID, Event: "done",
-		Rows: int64(len(res.Rows)), ElapsedUS: elapsed.Microseconds()})
-	if elapsed >= time.Duration(slowMS)*time.Millisecond {
-		slow.Record(obs.SlowQuery{
-			QueryID:   q.ID,
-			SQL:       sqlText,
-			ElapsedUS: elapsed.Microseconds(),
-			Analyze: engine.ExplainAnalyze(inst, engine.AnalyzeOptions{
-				EstimateOf: plan.EstimateOf,
-				Timings:    true,
-				Totals:     &counters,
-			}),
-		})
-	}
-	return nil
-}
-
-// planPruning reports the widest pruned scan of the plan: the snapshot
-// with the largest shard total. The instrumented tree doubles as the
-// walkable plan shape — its Origin pointers key the estimate map.
-func planPruning(root *engine.Instrumented, estOf func(engine.Node) (obs.EstimateSnapshot, bool)) (pruned, total int) {
-	var walk func(n *engine.Instrumented)
-	walk = func(n *engine.Instrumented) {
-		if est, ok := estOf(n.Origin); ok && est.PartsTotal > total {
-			pruned, total = est.PartsTotal-est.PartsScanned, est.PartsTotal
-		}
-		for _, k := range n.Kids {
-			walk(k)
-		}
-	}
-	walk(root)
-	return pruned, total
 }
 
 func runLedgerTop(args []string, out io.Writer) error {

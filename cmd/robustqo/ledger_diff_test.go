@@ -1,98 +1,115 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
-	"robustqo/internal/cost"
-	"robustqo/internal/engine"
+	"robustqo/internal/core"
 	"robustqo/internal/obs"
 	"robustqo/internal/obs/ledger"
-	"robustqo/internal/optimizer"
+	"robustqo/internal/plancache"
+	"robustqo/internal/session"
 	"robustqo/internal/sqlparse"
 	"robustqo/internal/tpch"
 )
 
-// TestLedgerInstrumentationDifferential pins the ledger's zero-cost
-// contract on results: executing a plan with the full lifecycle sinks
-// attached (ledger, live registry, query ID) produces byte-identical
-// rows in identical order AND byte-identical cost.Counters versus the
-// same plan executed with plain instrumentation and no ledger — across
-// the whole 40-query corpus, at DOP 1, 2, and 4, over a 2-shard
-// partitioned layout. Run with -race this doubles as the proof that
-// ledger appends and live-progress updates race with nothing in the
-// parallel drain.
+// TestLedgerInstrumentationDifferential pins the query pipeline's
+// zero-cost contract on results. Three pipelines run the 40-query
+// corpus at DOP 1, 2, and 4 over a 2-shard partitioned layout: one with
+// every sink nil, one with the ledger, live registry, event log, a 0 ms
+// slow log and a metrics registry, and one with only a plan cache that
+// sees the corpus twice, so its second pass is partly served from the
+// cache.
+// All three must produce byte-identical rows in identical order AND
+// byte-identical cost.Counters. Run with -race this doubles as the proof
+// that ledger appends and live-progress updates race with nothing in
+// the parallel drain.
 func TestLedgerInstrumentationDifferential(t *testing.T) {
-	db, err := tpch.Generate(tpch.Config{Lines: 6000, Partitions: 2, Seed: 2005})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, err := engine.NewContext(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := buildEstimator(db, "robust", 0.8, 500, 2005)
+	ctx, est, err := buildSystem(tpch.Config{Lines: 6000, Partitions: 2, Seed: 2005}, "robust", 0.8, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
 	led := ledger.New(0)
+	corpus := tpch.FeedbackCorpus()
 	for _, dop := range []int{1, 2, 4} {
-		for qi, sqlText := range corpusQueries() {
+		var events bytes.Buffer
+		bare := &session.Pipeline{Ctx: ctx, DOP: dop}
+		full := &session.Pipeline{
+			Ctx: ctx, DOP: dop,
+			Metrics: obs.NewRegistry(),
+			Ledger:  led,
+			Live:    obs.NewActiveQueries(),
+			Events:  obs.NewEventLog(&events),
+			Slow:    obs.NewSlowLog(len(corpus), nil),
+		}
+		cached := &session.Pipeline{Ctx: ctx, DOP: dop, Cache: plancache.New(256, nil)}
+
+		want := make([]string, len(corpus))
+		for qi, sqlText := range corpus {
 			label := fmt.Sprintf("dop=%d query %d %q", dop, qi, sqlText)
-			query, err := sqlparse.Parse(sqlText)
-			if err != nil {
-				t.Fatalf("%s: parse: %v", label, err)
+			x, got := runPipeline(t, bare, sqlText, est)
+			if x.Inst != nil {
+				t.Fatalf("%s: pipeline with no sinks instrumented the plan", label)
 			}
-			opt, err := optimizer.New(ctx, est)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			opt.MaxDOP = dop
-			plan, err := opt.Optimize(query)
-			if err != nil {
-				t.Fatalf("%s: optimize: %v", label, err)
-			}
+			want[qi] = got
 
-			// Ledger-disabled leg: plain pass-through instrumentation.
-			var cOff cost.Counters
-			resOff, err := engine.Instrument(plan.Root).Execute(ctx, &cOff)
-			if err != nil {
-				t.Fatalf("%s: ledger off: %v", label, err)
-			}
-
-			// Ledger-enabled leg: same plan, full lifecycle sinks.
-			live := &obs.QueryLive{ID: fmt.Sprintf("q%d", qi+1), SQL: sqlText}
-			instOn := engine.InstrumentOpts(plan.Root, engine.InstrumentOptions{
-				EstimateOf: plan.EstimateOf,
-				Ledger:     led,
-				QueryID:    live.ID,
-				Live:       live,
-			})
 			before := led.Ordinal()
-			var cOn cost.Counters
-			resOn, err := instOn.Execute(ctx, &cOn)
-			if err != nil {
-				t.Fatalf("%s: ledger on: %v", label, err)
+			x, got = runPipeline(t, full, sqlText, est)
+			if x.Inst == nil || led.Ordinal() == before {
+				t.Fatalf("%s: full-sink leg appended no ledger observations; the leg is not on", label)
 			}
-			if led.Ordinal() == before {
-				t.Fatalf("%s: ledger leg appended no observations; the on leg is not on", label)
+			if got != want[qi] {
+				t.Fatalf("%s: full sinks diverge from no sinks:\nfull %s\nbare %s", label, got, want[qi])
 			}
+		}
+		if n := len(full.Slow.Recent()); n != len(corpus) {
+			t.Errorf("dop=%d: 0 ms slow log captured %d of %d queries", dop, n, len(corpus))
+		}
+		if events.Len() == 0 {
+			t.Errorf("dop=%d: event log is empty", dop)
+		}
 
-			if len(resOn.Rows) != len(resOff.Rows) {
-				t.Fatalf("%s: %d rows with ledger, %d without", label, len(resOn.Rows), len(resOff.Rows))
-			}
-			for i := range resOn.Rows {
-				on, off := fmt.Sprintf("%v", resOn.Rows[i]), fmt.Sprintf("%v", resOff.Rows[i])
-				if on != off {
-					t.Fatalf("%s: row %d differs: %s vs %s", label, i, on, off)
+		// The second pass walks the corpus backwards: each shape's most
+		// recently retained bindings come first, so they hit.
+		hits := 0
+		for pass := 0; pass < 2; pass++ {
+			for i := range corpus {
+				qi := i
+				if pass == 1 {
+					qi = len(corpus) - 1 - i
+				}
+				x, got := runPipeline(t, cached, corpus[qi], est)
+				if got != want[qi] {
+					t.Fatalf("dop=%d pass %d query %d %q (%v): cached plan diverges:\ncached %s\ncold   %s",
+						dop, pass, qi, corpus[qi], x.Cache, got, want[qi])
+				}
+				if pass == 1 && x.Cache == plancache.Hit {
+					hits++
 				}
 			}
-			if cOn != cOff {
-				t.Fatalf("%s: counters diverged:\nledger on  %+v\nledger off %+v", label, cOn, cOff)
-			}
+		}
+		if hits == 0 {
+			t.Errorf("dop=%d: second pass through the plan cache never hit", dop)
 		}
 	}
 	if led.Len() == 0 {
 		t.Fatal("corpus produced no ledger fingerprints")
 	}
+}
+
+// runPipeline parses and runs one query through p and renders its rows
+// and cost counters as one string.
+func runPipeline(t *testing.T, p *session.Pipeline, sqlText string, est core.Estimator) (*session.Execution, string) {
+	t.Helper()
+	q, err := sqlparse.Parse(sqlText)
+	if err != nil {
+		t.Fatalf("%q: parse: %v", sqlText, err)
+	}
+	x, err := p.Run(context.Background(), sqlText, q, est)
+	if err != nil {
+		t.Fatalf("%q: %v", sqlText, err)
+	}
+	return x, fmt.Sprintf("%v|%+v", x.Result.Rows, x.Counters)
 }

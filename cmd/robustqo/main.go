@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -25,6 +26,7 @@ import (
 	"robustqo/internal/obs"
 	"robustqo/internal/optimizer"
 	"robustqo/internal/sample"
+	"robustqo/internal/session"
 	"robustqo/internal/sqlparse"
 	"robustqo/internal/tpch"
 )
@@ -151,19 +153,109 @@ func runExperiment(args []string, out io.Writer) error {
 	return nil
 }
 
+// queryFlags are the flags the query and sql subcommands share; sql
+// alone registers cluster and columnar.
+type queryFlags struct {
+	lines       int
+	threshold   float64
+	estimator   string
+	sampleSize  int
+	seed        uint64
+	explainOnly bool
+	dop         int
+	partitions  int
+	cluster     bool
+	columnar    bool
+	analyze     bool
+	traceOut    string
+	traceFormat string
+}
+
+func (f *queryFlags) register(fs *flag.FlagSet) {
+	fs.IntVar(&f.lines, "lines", 60000, "lineitem rows to generate")
+	fs.Float64Var(&f.threshold, "threshold", 0.8, "confidence threshold in (0,1)")
+	fs.StringVar(&f.estimator, "estimator", "robust", "cardinality estimator: robust or histogram")
+	fs.IntVar(&f.sampleSize, "samplesize", sample.DefaultSize, "synopsis tuples")
+	fs.Uint64Var(&f.seed, "seed", 2005, "random seed")
+	fs.BoolVar(&f.explainOnly, "explain", false, "print the plan without executing")
+	fs.IntVar(&f.dop, "parallelism", 1, "max degree of parallelism for eligible scans (1 = serial)")
+	fs.IntVar(&f.partitions, "partitions", 1, "range-partition lineitem on l_shipdate into this many shards (1 = unpartitioned)")
+	fs.BoolVar(&f.analyze, "analyze", false,
+		"print the EXPLAIN ANALYZE plan tree (estimated vs actual rows, Q-error, timings)")
+	fs.StringVar(&f.traceOut, "trace-out", "",
+		"write the optimizer+execution trace to this file")
+	fs.StringVar(&f.traceFormat, "trace-format", "json",
+		"trace file format: json or chrome (chrome://tracing)")
+}
+
+// run generates the database and sends q through the query pipeline:
+// it prints the plan and, unless -explain, the simulated execution, the
+// EXPLAIN ANALYZE tree when asked, and the trace export. It returns the
+// result for the caller to print, or nil under -explain.
+func (f *queryFlags) run(q *optimizer.Query, out io.Writer) (*engine.Result, error) {
+	fmt.Fprintf(out, "generating TPC-H-like data (%d lineitem rows)...\n", f.lines)
+	ctx, est, err := buildSystem(tpch.Config{Lines: f.lines, Partitions: f.partitions, Seed: f.seed, ClusterDates: f.cluster},
+		f.estimator, f.threshold, f.sampleSize)
+	if err != nil {
+		return nil, err
+	}
+	ctx.Metrics = obs.Default
+	if f.columnar {
+		encs, err := colstore.BuildAll(ctx.DB)
+		if err != nil {
+			return nil, err
+		}
+		ctx.Encodings = encs
+		fmt.Fprintf(out, "columnar encodings: %d bytes raw -> %d bytes encoded (%.1fx)\n",
+			encs.RawBytes(), encs.EncodedBytes(), float64(encs.RawBytes())/float64(encs.EncodedBytes()))
+	}
+	var tr *obs.Trace // non-nil only when an export was requested
+	if f.traceOut != "" {
+		tr = obs.NewTrace("robustqo")
+	}
+	pipe := session.Pipeline{Ctx: ctx, DOP: f.dop, Metrics: obs.Default, Trace: tr}
+	if f.explainOnly {
+		plan, _, err := pipe.Plan(q, est)
+		if err != nil {
+			return nil, err
+		}
+		printPlan(out, plan)
+		return nil, nil
+	}
+	x, err := pipe.Run(context.Background(), "", q, est)
+	if x != nil {
+		printPlan(out, x.Plan)
+	}
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(out, "simulated execution: %.4f s  (%s)\n", ctx.Model.Time(x.Counters), x.Counters)
+	if f.analyze {
+		fmt.Fprint(out, "EXPLAIN ANALYZE:\n")
+		fmt.Fprint(out, engine.ExplainAnalyze(x.Inst, engine.AnalyzeOptions{
+			EstimateOf: x.Plan.EstimateOf,
+			Timings:    true,
+		}))
+	}
+	if f.traceOut != "" {
+		if err := exportTrace(tr, f.traceOut, f.traceFormat); err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(out, "trace written to %s (%d spans, %s format)\n", f.traceOut, tr.Len(), f.traceFormat)
+	}
+	return x.Result, nil
+}
+
+func printPlan(out io.Writer, plan *optimizer.Plan) {
+	fmt.Fprintf(out, "estimator: %s\nestimated cost: %.4f s, estimated rows: %.1f\nplan:\n%s",
+		plan.Estimator, plan.EstCost, plan.EstRows, plan.Explain())
+}
+
 func runQuery(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("query", flag.ContinueOnError)
 	fs.SetOutput(out)
-	lines := fs.Int("lines", 60000, "lineitem rows to generate")
-	threshold := fs.Float64("threshold", 0.8, "confidence threshold in (0,1)")
-	estimator := fs.String("estimator", "robust", "cardinality estimator: robust or histogram")
-	sampleSize := fs.Int("samplesize", sample.DefaultSize, "synopsis tuples")
-	seed := fs.Uint64("seed", 2005, "random seed")
-	explainOnly := fs.Bool("explain", false, "print the plan without executing")
-	dop := fs.Int("parallelism", 1, "max degree of parallelism for eligible scans (1 = serial)")
-	partitions := fs.Int("partitions", 1, "range-partition lineitem on l_shipdate into this many shards (1 = unpartitioned)")
-	var of obsFlags
-	of.register(fs)
+	var f queryFlags
+	f.register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -174,48 +266,15 @@ func runQuery(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-
-	fmt.Fprintf(out, "generating TPC-H-like data (%d lineitem rows)...\n", *lines)
-	db, err := tpch.Generate(tpch.Config{Lines: *lines, Partitions: *partitions, Seed: *seed})
-	if err != nil {
-		return err
-	}
-	ctx, err := engine.NewContext(db)
-	if err != nil {
-		return err
-	}
-	ctx.Metrics = obs.Default
-	est, err := buildEstimator(db, *estimator, *threshold, *sampleSize, *seed)
-	if err != nil {
-		return err
-	}
-	opt, err := optimizer.New(ctx, est)
-	if err != nil {
-		return err
-	}
-	tr := of.trace()
-	opt.Trace = tr
-	opt.MaxDOP = *dop
-	opt.Metrics = obs.Default
-	q := &optimizer.Query{
+	res, err := f.run(&optimizer.Query{
 		Tables: []string{"lineitem"},
 		Pred:   pred,
 		Aggs: []engine.AggSpec{
 			{Func: engine.Count, As: "n"},
 			{Func: engine.Sum, Arg: expr.TC("lineitem", "l_extendedprice"), As: "revenue"},
 		},
-	}
-	plan, err := opt.Optimize(q)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "estimator: %s\nestimated cost: %.4f s, estimated rows: %.1f\nplan:\n%s",
-		plan.Estimator, plan.EstCost, plan.EstRows, plan.Explain())
-	if *explainOnly {
-		return nil
-	}
-	res, err := executePlan(ctx, plan, tr, &of, out)
-	if err != nil {
+	}, out)
+	if err != nil || res == nil {
 		return err
 	}
 	header := make([]string, len(res.Schema.Fields))
@@ -236,19 +295,11 @@ func runQuery(args []string, out io.Writer) error {
 func runSQL(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("sql", flag.ContinueOnError)
 	fs.SetOutput(out)
-	lines := fs.Int("lines", 60000, "lineitem rows to generate")
-	threshold := fs.Float64("threshold", 0.8, "confidence threshold in (0,1)")
-	estimator := fs.String("estimator", "robust", "cardinality estimator: robust or histogram")
-	sampleSize := fs.Int("samplesize", sample.DefaultSize, "synopsis tuples")
-	seed := fs.Uint64("seed", 2005, "random seed")
-	explainOnly := fs.Bool("explain", false, "print the plan without executing")
-	dop := fs.Int("parallelism", 1, "max degree of parallelism for eligible scans (1 = serial)")
-	partitions := fs.Int("partitions", 1, "range-partition lineitem on l_shipdate into this many shards (1 = unpartitioned)")
-	columnar := fs.Bool("columnar", false, "build compressed columnar encodings; scans decode them and zone maps skip segments")
-	cluster := fs.Bool("cluster", false, "lay lineitem out in l_shipdate order so date zone maps are selective")
+	var f queryFlags
+	f.register(fs)
+	fs.BoolVar(&f.columnar, "columnar", false, "build compressed columnar encodings; scans decode them and zone maps skip segments")
+	fs.BoolVar(&f.cluster, "cluster", false, "lay lineitem out in l_shipdate order so date zone maps are selective")
 	maxRows := fs.Int("maxrows", 20, "print at most this many result rows")
-	var of obsFlags
-	of.register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -259,48 +310,8 @@ func runSQL(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "generating TPC-H-like data (%d lineitem rows)...\n", *lines)
-	db, err := tpch.Generate(tpch.Config{Lines: *lines, Partitions: *partitions, Seed: *seed, ClusterDates: *cluster})
-	if err != nil {
-		return err
-	}
-	ctx, err := engine.NewContext(db)
-	if err != nil {
-		return err
-	}
-	ctx.Metrics = obs.Default
-	if *columnar {
-		encs, err := colstore.BuildAll(db)
-		if err != nil {
-			return err
-		}
-		ctx.Encodings = encs
-		fmt.Fprintf(out, "columnar encodings: %d bytes raw -> %d bytes encoded (%.1fx)\n",
-			encs.RawBytes(), encs.EncodedBytes(), float64(encs.RawBytes())/float64(encs.EncodedBytes()))
-	}
-	est, err := buildEstimator(db, *estimator, *threshold, *sampleSize, *seed)
-	if err != nil {
-		return err
-	}
-	opt, err := optimizer.New(ctx, est)
-	if err != nil {
-		return err
-	}
-	tr := of.trace()
-	opt.Trace = tr
-	opt.MaxDOP = *dop
-	opt.Metrics = obs.Default
-	plan, err := opt.Optimize(q)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "estimator: %s\nestimated cost: %.4f s, estimated rows: %.1f\nplan:\n%s",
-		plan.Estimator, plan.EstCost, plan.EstRows, plan.Explain())
-	if *explainOnly {
-		return nil
-	}
-	res, err := executePlan(ctx, plan, tr, &of, out)
-	if err != nil {
+	res, err := f.run(q, out)
+	if err != nil || res == nil {
 		return err
 	}
 	header := make([]string, len(res.Schema.Fields))

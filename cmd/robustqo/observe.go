@@ -1,127 +1,50 @@
 package main
 
-// Observability plumbing shared by the query, sql, and serve
-// subcommands: the -analyze / -trace-out flags, instrumented execution
-// with EXPLAIN ANALYZE rendering, query metrics, and trace export.
+// Plumbing shared by the query, sql, serve, and ledger subcommands:
+// database and estimator construction, and trace export.
 
 import (
-	"flag"
 	"fmt"
-	"io"
 	"os"
-	"strings"
 
 	"robustqo/internal/core"
-	"robustqo/internal/cost"
 	"robustqo/internal/engine"
 	"robustqo/internal/histogram"
 	"robustqo/internal/obs"
-	"robustqo/internal/optimizer"
 	"robustqo/internal/sample"
 	"robustqo/internal/stats"
-	"robustqo/internal/storage"
+	"robustqo/internal/tpch"
 )
 
-// obsFlags are the observability options shared by query and sql.
-type obsFlags struct {
-	analyze     bool
-	traceOut    string
-	traceFormat string
-}
-
-func (f *obsFlags) register(fs *flag.FlagSet) {
-	fs.BoolVar(&f.analyze, "analyze", false,
-		"print the EXPLAIN ANALYZE plan tree (estimated vs actual rows, Q-error, timings)")
-	fs.StringVar(&f.traceOut, "trace-out", "",
-		"write the optimizer+execution trace to this file")
-	fs.StringVar(&f.traceFormat, "trace-format", "json",
-		"trace file format: json or chrome (chrome://tracing)")
-}
-
-// trace returns the trace to thread through the optimizer and engine:
-// non-nil only when an export was requested.
-func (f *obsFlags) trace() *obs.Trace {
-	if f.traceOut == "" {
-		return nil
+// buildSystem generates the TPC-H-like database, indexes it, and builds
+// the named cardinality estimator over it.
+func buildSystem(cfg tpch.Config, estimator string, threshold float64, sampleSize int) (*engine.Context, core.Estimator, error) {
+	db, err := tpch.Generate(cfg)
+	if err != nil {
+		return nil, nil, err
 	}
-	return obs.NewTrace("robustqo")
-}
-
-// buildEstimator constructs the named cardinality estimator over the
-// generated database.
-func buildEstimator(db *storage.Database, name string, threshold float64, sampleSize int, seed uint64) (core.Estimator, error) {
-	switch name {
+	ctx, err := engine.NewContext(db)
+	if err != nil {
+		return nil, nil, err
+	}
+	switch estimator {
 	case "robust":
-		syn, err := sample.BuildAll(db, sampleSize, stats.NewRNG(seed^0xbeef))
+		syn, err := sample.BuildAll(db, sampleSize, stats.NewRNG(cfg.Seed^0xbeef))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return core.NewBayesEstimator(syn, core.ConfidenceThreshold(threshold))
+		est, err := core.NewBayesEstimator(syn, core.ConfidenceThreshold(threshold))
+		return ctx, est, err
 	case "histogram":
 		hists, err := histogram.BuildAll(db)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return core.NewHistogramEstimator(hists, db.Catalog)
+		est, err := core.NewHistogramEstimator(hists, db.Catalog)
+		return ctx, est, err
 	default:
-		return nil, fmt.Errorf("unknown estimator %q", name)
+		return nil, nil, fmt.Errorf("unknown estimator %q", estimator)
 	}
-}
-
-// executePlan runs the plan under instrumentation (a zero-overhead
-// pass-through when tracing is off — see the parity tests in
-// internal/engine), prints the simulated-execution line, renders the
-// EXPLAIN ANALYZE tree when requested, records query metrics into the
-// default registry, and exports the trace.
-func executePlan(ctx *engine.Context, plan *optimizer.Plan, tr *obs.Trace, f *obsFlags, out io.Writer) (*engine.Result, error) {
-	inst := engine.InstrumentTrace(plan.Root, tr)
-	var counters cost.Counters
-	res, err := inst.Execute(ctx, &counters)
-	if err != nil {
-		return nil, err
-	}
-	counters.Output += int64(len(res.Rows))
-	fmt.Fprintf(out, "simulated execution: %.4f s  (%s)\n", ctx.Model.Time(counters), counters)
-	if f.analyze {
-		fmt.Fprint(out, "EXPLAIN ANALYZE:\n")
-		fmt.Fprint(out, engine.ExplainAnalyze(inst, engine.AnalyzeOptions{
-			EstimateOf: plan.EstimateOf,
-			Timings:    true,
-		}))
-	}
-	recordQueryMetrics(obs.Default, plan, inst)
-	if f.traceOut != "" {
-		if err := exportTrace(tr, f.traceOut, f.traceFormat); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(out, "trace written to %s (%d spans, %s format)\n", f.traceOut, tr.Len(), f.traceFormat)
-	}
-	return res, nil
-}
-
-// recordQueryMetrics feeds one executed query into the metrics
-// registry: totals, the chosen join order keyed by the confidence
-// threshold it was planned under, and the per-operator-type Q-error
-// distribution (plan-vs-actual cardinality feedback).
-func recordQueryMetrics(reg *obs.Registry, plan *optimizer.Plan, inst *engine.Instrumented) {
-	reg.Counter("robustqo_queries_total").Inc()
-	reg.Counter("robustqo_rows_returned_total").Add(inst.Stats.Rows)
-	reg.Counter("robustqo_plans_total",
-		obs.Label{Key: "order", Value: strings.Join(engine.LeafTables(inst), ",")},
-		obs.Label{Key: "t", Value: fmt.Sprintf("%g", plan.Confidence())},
-	).Inc()
-	var walk func(in *engine.Instrumented)
-	walk = func(in *engine.Instrumented) {
-		if est, ok := plan.EstimateOf(in.Origin); ok {
-			reg.Histogram("robustqo_qerror", obs.QErrorBuckets,
-				obs.Label{Key: "op", Value: engine.OpName(in)},
-			).Observe(obs.QError(est.Rows, float64(in.Stats.Rows)))
-		}
-		for _, k := range in.Kids {
-			walk(k)
-		}
-	}
-	walk(inst)
 }
 
 // exportTrace writes the trace to path in the requested format.

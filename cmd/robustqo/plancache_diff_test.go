@@ -25,15 +25,7 @@ import (
 // one (partitions, dop) configuration.
 func diffFixture(t *testing.T, lines, partitions, dop int) (*engine.Context, *optimizer.Optimizer, plancache.Env) {
 	t.Helper()
-	db, err := tpch.Generate(tpch.Config{Lines: lines, Partitions: partitions, Seed: 2005})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, err := engine.NewContext(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := buildEstimator(db, "robust", 0.8, 500, 2005)
+	ctx, est, err := buildSystem(tpch.Config{Lines: lines, Partitions: partitions, Seed: 2005}, "robust", 0.8, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +70,7 @@ func TestPlanCacheDifferentialCorpus(t *testing.T) {
 			ctx, opt, env := diffFixture(t, cfg.lines, cfg.partitions, cfg.dop)
 			cache := plancache.New(256, nil)
 			outcomes := map[plancache.Outcome]int{}
-			for qi, sqlText := range corpusQueries() {
+			for qi, sqlText := range tpch.FeedbackCorpus() {
 				qCold, err := sqlparse.Parse(sqlText)
 				if err != nil {
 					t.Fatalf("q%d parse: %v", qi, err)

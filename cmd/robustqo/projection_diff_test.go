@@ -238,7 +238,7 @@ func intersectPlans(dop int) []engine.Node {
 }
 
 func TestProjectionPushdownIdentical(t *testing.T) {
-	corpus := append(corpusQueries(), optimizerShapes(16)...)
+	corpus := append(tpch.FeedbackCorpus(), optimizerShapes(16)...)
 	// The named cases run twice, so their second round is served as
 	// plan-cache hits.
 	for range 2 {
@@ -294,7 +294,7 @@ func TestProjectionPushdownIdentical(t *testing.T) {
 					// Magic selectivities ignore literals, so of the
 					// plan-cache corpus's literal sweeps only the first two
 					// rounds give the magic optimizer distinct plans.
-					if qi >= 8 && qi < len(corpusQueries()) {
+					if qi >= 8 && qi < len(tpch.FeedbackCorpus()) {
 						continue
 					}
 					q, err = sqlparse.Parse(sqlText)

@@ -38,13 +38,13 @@ import (
 
 	"robustqo/internal/catalog"
 	"robustqo/internal/core"
-	"robustqo/internal/cost"
 	"robustqo/internal/engine"
 	"robustqo/internal/obs"
 	"robustqo/internal/obs/ledger"
 	"robustqo/internal/optimizer"
 	"robustqo/internal/plancache"
 	"robustqo/internal/sample"
+	"robustqo/internal/session"
 	"robustqo/internal/sqlparse"
 	"robustqo/internal/tpch"
 	"robustqo/internal/value"
@@ -55,61 +55,47 @@ const defaultMaxBody = 1 << 20 // 1 MiB
 
 // server holds the shared state behind the debug endpoints. The
 // database, indexes, and estimator are immutable after startup; the
-// registry, ledger, live registry, plan cache, admission gate, and logs
-// are internally synchronized — so handlers need no lock.
+// pipeline's sinks (registry, ledger, live registry, plan cache,
+// admission gate, and logs) are internally synchronized — so handlers
+// need no lock.
 type server struct {
-	ctx   *engine.Context
+	pipe  session.Pipeline
 	est   core.Estimator
 	bayes *core.BayesEstimator // non-nil when est is the robust estimator
-	reg   *obs.Registry
-	dop   int // max degree of parallelism for eligible scans
-
-	cache *plancache.Cache
-	adm   *plancache.Admission
 	stmts *stmtRegistry
 
-	// reqTimeout cancels in-flight execution via context; 0 disables.
-	reqTimeout time.Duration
-	maxBody    int64
-
-	led    *ledger.Ledger
-	active *obs.ActiveQueries
-	events *obs.EventLog // nil unless -events names a file
-	slow   *obs.SlowLog
-	slowMS int
+	maxBody int64
 }
 
 func newServer(lines int, estimator string, threshold float64, sampleSize int, seed uint64, parallelism int) (*server, error) {
-	db, err := tpch.Generate(tpch.Config{Lines: lines, Seed: seed})
+	ctx, est, err := buildSystem(tpch.Config{Lines: lines, Seed: seed}, estimator, threshold, sampleSize)
 	if err != nil {
 		return nil, err
-	}
-	ctx, err := engine.NewContext(db)
-	if err != nil {
-		return nil, err
-	}
-	est, err := buildEstimator(db, estimator, threshold, sampleSize, seed)
-	if err != nil {
-		return nil, err
-	}
-	reg := obs.NewRegistry()
-	s := &server{
-		ctx: ctx, est: est, reg: reg, dop: parallelism,
-		cache:      plancache.New(1024, reg),
-		adm:        plancache.NewAdmission(plancache.AdmissionConfig{}, defaultAdmissionSlots(), reg),
-		stmts:      newStmtRegistry(),
-		reqTimeout: 30 * time.Second,
-		maxBody:    defaultMaxBody,
-		led:        ledger.New(0),
-		active:     obs.NewActiveQueries(),
-		slow:       obs.NewSlowLog(0, nil),
-		slowMS:     100,
 	}
 	// Engine-side metering (hash-join builds, pre-size hits, modeled
 	// rehashes) lands in the same registry /metrics serves — including
 	// the exchange utilization series — as do the ledger's own counters.
-	ctx.Metrics = s.reg
-	s.led.Metrics = s.reg
+	reg := obs.NewRegistry()
+	ctx.Metrics = reg
+	led := ledger.New(0)
+	led.Metrics = reg
+	s := &server{
+		pipe: session.Pipeline{
+			Ctx:       ctx,
+			DOP:       parallelism,
+			Cache:     plancache.New(1024, reg),
+			Admission: plancache.NewAdmission(plancache.AdmissionConfig{}, defaultAdmissionSlots(), reg),
+			Timeout:   30 * time.Second,
+			Metrics:   reg,
+			Ledger:    led,
+			Live:      obs.NewActiveQueries(),
+			Slow:      obs.NewSlowLog(0, nil),
+			SlowAfter: 100 * time.Millisecond,
+		},
+		est:     est,
+		stmts:   newStmtRegistry(),
+		maxBody: defaultMaxBody,
+	}
 	if b, ok := est.(*core.BayesEstimator); ok {
 		s.bayes = b
 	}
@@ -210,7 +196,7 @@ endpoints:
 
 func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if err := s.reg.WriteText(w); err != nil {
+	if err := s.pipe.Metrics.WriteText(w); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }
@@ -383,136 +369,71 @@ func parseArg(p string, k catalog.Type) (value.Value, error) {
 	}
 }
 
-// execute is the shared serve pipeline: admission → plan cache →
-// instrument → guarded execution → metrics/logs → response.
+// execute runs the query through the shared pipeline and renders the
+// plan, the plan-cache outcome and the simulated execution time.
 func (s *server) execute(w http.ResponseWriter, r *http.Request, sqlText string, q *optimizer.Query, est core.Estimator) {
-	// Admission first: overload is decided before any per-query work.
-	release, err := s.adm.Admit(r.Context())
+	x, err := s.pipe.Run(r.Context(), sqlText, q, est)
 	if err != nil {
-		switch {
-		case errors.Is(err, plancache.ErrShed), errors.Is(err, plancache.ErrTimeout):
-			writeError(w, http.StatusTooManyRequests, "overloaded", err.Error(), s.adm.RetryAfter())
-		case errors.Is(err, plancache.ErrClosed):
-			writeError(w, http.StatusServiceUnavailable, "shutting_down", err.Error(), s.adm.RetryAfter())
-		default: // client went away while queued
-			writeError(w, http.StatusServiceUnavailable, "cancelled", err.Error(), 0)
-		}
+		status, code, retryAfter := s.errorStatus(err)
+		writeError(w, status, code, err.Error(), retryAfter)
 		return
 	}
-	defer release()
-
-	rctx := r.Context()
-	if s.reqTimeout > 0 {
-		var cancel context.CancelFunc
-		rctx, cancel = context.WithTimeout(rctx, s.reqTimeout)
-		defer cancel()
-	}
-
-	live := s.active.Begin(sqlText)
-	defer s.active.Done(live)
-	start := time.Now()
-	s.events.Emit(obs.Event{QueryID: live.ID, Event: "received", SQL: sqlText})
-	fail := func(status int, code string, err error) {
-		live.SetPhase(obs.PhaseFailed)
-		s.events.Emit(obs.Event{QueryID: live.ID, Event: "failed", Detail: err.Error()})
-		writeError(w, status, code, err.Error(), 0)
-	}
-
-	dop := s.adm.ClampDOP(s.dop)
-	live.SetPhase(obs.PhaseOptimize)
-	env := plancache.Env{
-		Ctx: s.ctx,
-		Est: est,
-		DOP: dop,
-		Optimize: func(q *optimizer.Query) (*optimizer.Plan, error) {
-			opt, err := optimizer.New(s.ctx, est)
-			if err != nil {
-				return nil, err
-			}
-			opt.MaxDOP = dop
-			opt.Metrics = s.reg
-			return opt.Optimize(q)
-		},
-	}
-	plan, outcome, err := s.cache.Plan(env, q)
-	if err != nil {
-		fail(http.StatusBadRequest, "optimize_error", err)
-		return
-	}
-	if err := s.adm.CheckMemory(plan.EstRows); err != nil {
-		fail(http.StatusTooManyRequests, "mem_budget", err)
-		return
-	}
-	inst := engine.InstrumentOpts(plan.Root, engine.InstrumentOptions{
-		EstimateOf: plan.EstimateOf,
-		Ledger:     s.led,
-		QueryID:    live.ID,
-		Live:       live,
-	})
-	live.T = plan.Confidence()
-	live.DOP = dop
-	live.EstRows = plan.EstRows
-	live.PartsPruned, live.PartsTotal = planPruning(inst, plan.EstimateOf)
-	s.events.Emit(obs.Event{QueryID: live.ID, Event: "optimized", T: live.T, DOP: dop,
-		EstRows: plan.EstRows, PartsPruned: live.PartsPruned, PartsTotal: live.PartsTotal,
-		ElapsedUS: time.Since(start).Microseconds()})
-	live.SetPhase(obs.PhaseExecute)
-	var counters cost.Counters
-	// The cancel guard sits outside the instrumented root: aborting
-	// still closes the instrumented tree, which flushes ledger feedback
-	// for the work that did complete.
-	res, err := engine.Guard(rctx, inst).Execute(s.ctx, &counters)
-	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			fail(http.StatusGatewayTimeout, "query_timeout", err)
-		case errors.Is(err, context.Canceled):
-			fail(http.StatusServiceUnavailable, "cancelled", err)
-		default:
-			fail(http.StatusInternalServerError, "execute_error", err)
-		}
-		return
-	}
-	counters.Output += int64(len(res.Rows))
-	live.SetPhase(obs.PhaseDone)
-	elapsed := time.Since(start)
-	s.reg.Histogram("robustqo_query_latency_seconds", obs.LatencyBuckets).Observe(elapsed.Seconds())
-	s.events.Emit(obs.Event{QueryID: live.ID, Event: "done",
-		Rows: int64(len(res.Rows)), ElapsedUS: elapsed.Microseconds()})
-	if elapsed >= time.Duration(s.slowMS)*time.Millisecond {
-		s.slow.Record(obs.SlowQuery{
-			QueryID: live.ID, SQL: sqlText, ElapsedUS: elapsed.Microseconds(),
-			Analyze: engine.ExplainAnalyze(inst, engine.AnalyzeOptions{
-				EstimateOf: plan.EstimateOf,
-				Timings:    true,
-				Totals:     &counters,
-			}),
-		})
-	}
-	recordQueryMetrics(s.reg, plan, inst)
+	plan := x.Plan
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, "estimator: %s\nestimated cost: %.4f s, estimated rows: %.1f\nplan cache: %s\n",
-		plan.Estimator, plan.EstCost, plan.EstRows, outcome)
+		plan.Estimator, plan.EstCost, plan.EstRows, x.Cache)
 	if r.FormValue("analyze") != "" {
 		fmt.Fprint(w, "EXPLAIN ANALYZE:\n")
-		fmt.Fprint(w, engine.ExplainAnalyze(inst, engine.AnalyzeOptions{
+		fmt.Fprint(w, engine.ExplainAnalyze(x.Inst, engine.AnalyzeOptions{
 			EstimateOf: plan.EstimateOf,
 			Timings:    true,
-			Totals:     &counters,
+			Totals:     &x.Counters,
 		}))
 	} else {
 		fmt.Fprintf(w, "plan:\n%s", plan.Explain())
 	}
 	fmt.Fprintf(w, "simulated execution: %.4f s\n(%d rows)\n",
-		s.ctx.Model.Time(counters), len(res.Rows))
+		s.pipe.Ctx.Model.Time(x.Counters), len(x.Result.Rows))
+}
+
+// errorStatus maps a pipeline failure to its HTTP status, error code and
+// Retry-After hint, by the stage that failed.
+func (s *server) errorStatus(err error) (status int, code string, retryAfter time.Duration) {
+	var perr *session.Error
+	errors.As(err, &perr)
+	switch perr.Stage {
+	case session.Admit:
+		switch {
+		case errors.Is(err, plancache.ErrShed), errors.Is(err, plancache.ErrTimeout):
+			return http.StatusTooManyRequests, "overloaded", s.pipe.Admission.RetryAfter()
+		case errors.Is(err, plancache.ErrClosed):
+			return http.StatusServiceUnavailable, "shutting_down", s.pipe.Admission.RetryAfter()
+		default: // client went away while queued
+			return http.StatusServiceUnavailable, "cancelled", 0
+		}
+	case session.Optimize:
+		return http.StatusBadRequest, "optimize_error", 0
+	case session.Memory:
+		return http.StatusTooManyRequests, "mem_budget", 0
+	default:
+		switch {
+		case errors.Is(err, context.DeadlineExceeded):
+			return http.StatusGatewayTimeout, "query_timeout", 0
+		case errors.Is(err, context.Canceled):
+			return http.StatusServiceUnavailable, "cancelled", 0
+		default:
+			return http.StatusInternalServerError, "execute_error", 0
+		}
+	}
 }
 
 // handleQueries renders the in-flight queries with posterior-based
 // progress estimates, the plan-cache and admission state, and the
 // recent slow-query captures.
 func (s *server) handleQueries(w http.ResponseWriter, _ *http.Request) {
+	reg, adm := s.pipe.Metrics, s.pipe.Admission
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	views := s.active.Snapshot()
+	views := s.pipe.Live.Snapshot()
 	fmt.Fprintf(w, "%d in-flight queries\n\n", len(views))
 	if len(views) > 0 {
 		fmt.Fprintf(w, "%-6s %-9s %-5s %-4s %12s %12s %9s %10s  %s\n",
@@ -528,25 +449,25 @@ func (s *server) handleQueries(w http.ResponseWriter, _ *http.Request) {
 	}
 
 	fmt.Fprintf(w, "\nplan cache: %d entries, %d prepared statements\n",
-		s.cache.Len(), s.stmts.len())
+		s.pipe.Cache.Len(), s.stmts.len())
 	fmt.Fprintf(w, "  hits=%d rebinds=%d misses=%d rejects=%d evictions=%d\n",
-		s.reg.Counter("robustqo_plancache_hits_total").Value(),
-		s.reg.Counter("robustqo_plancache_rebinds_total").Value(),
-		s.reg.Counter("robustqo_plancache_misses_total").Value(),
-		s.reg.Counter("robustqo_plancache_rejects_total").Value(),
-		s.reg.Counter("robustqo_plancache_evictions_total").Value())
-	cfg := s.adm.Config()
+		reg.Counter("robustqo_plancache_hits_total").Value(),
+		reg.Counter("robustqo_plancache_rebinds_total").Value(),
+		reg.Counter("robustqo_plancache_misses_total").Value(),
+		reg.Counter("robustqo_plancache_rejects_total").Value(),
+		reg.Counter("robustqo_plancache_evictions_total").Value())
+	cfg := adm.Config()
 	fmt.Fprintf(w, "admission: %d/%d slots in use, %d queued (max %d)\n",
-		s.adm.InFlight(), cfg.Slots, s.adm.Waiting(), cfg.MaxQueue)
+		adm.InFlight(), cfg.Slots, adm.Waiting(), cfg.MaxQueue)
 	fmt.Fprintf(w, "  admitted=%d shed=%d timeouts=%d cancelled=%d mem_rejects=%d\n",
-		s.reg.Counter("robustqo_admission_admitted_total").Value(),
-		s.reg.Counter("robustqo_admission_shed_total").Value(),
-		s.reg.Counter("robustqo_admission_timeouts_total").Value(),
-		s.reg.Counter("robustqo_admission_cancelled_total").Value(),
-		s.reg.Counter("robustqo_admission_mem_rejects_total").Value())
+		reg.Counter("robustqo_admission_admitted_total").Value(),
+		reg.Counter("robustqo_admission_shed_total").Value(),
+		reg.Counter("robustqo_admission_timeouts_total").Value(),
+		reg.Counter("robustqo_admission_cancelled_total").Value(),
+		reg.Counter("robustqo_admission_mem_rejects_total").Value())
 
-	slow := s.slow.Recent()
-	fmt.Fprintf(w, "\n%d recent slow queries (threshold %dms)\n", len(slow), s.slowMS)
+	slow := s.pipe.Slow.Recent()
+	fmt.Fprintf(w, "\n%d recent slow queries (threshold %dms)\n", len(slow), s.pipe.SlowAfter.Milliseconds())
 	for i := len(slow) - 1; i >= 0; i-- {
 		q := slow[i]
 		fmt.Fprintf(w, "\n[%s] %.1fms  %s\n%s", q.QueryID, float64(q.ElapsedUS)/1000, q.SQL, q.Analyze)
@@ -560,17 +481,18 @@ func (s *server) handleLedger(w http.ResponseWriter, r *http.Request) {
 	if raw := r.URL.Query().Get("n"); raw != "" {
 		v, err := strconv.Atoi(raw)
 		if err != nil {
-			http.Error(w, "bad n: "+err.Error(), http.StatusBadRequest)
+			writeError(w, http.StatusBadRequest, "bad_n", "bad n: "+err.Error(), 0)
 			return
 		}
 		n = v
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	led := s.pipe.Ledger
 	fmt.Fprintf(w, "%d fingerprints, %d observations, %d dropped\n\nworst fingerprints by Q-error:\n",
-		s.led.Len(), s.led.Ordinal(), s.led.Dropped())
-	renderTop(w, s.led.TopQError(n))
+		led.Len(), led.Ordinal(), led.Dropped())
+	renderTop(w, led.TopQError(n))
 	fmt.Fprintf(w, "\nper-table drift:\n")
-	renderDrift(w, s.led.Drift())
+	renderDrift(w, led.Drift())
 }
 
 func runServe(args []string, out io.Writer) error {
@@ -605,22 +527,22 @@ func runServe(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	s.slowMS = *slowMS
-	s.reqTimeout = time.Duration(*queryTimeoutMS) * time.Millisecond
-	s.adm = plancache.NewAdmission(plancache.AdmissionConfig{
+	s.pipe.SlowAfter = time.Duration(*slowMS) * time.Millisecond
+	s.pipe.Timeout = time.Duration(*queryTimeoutMS) * time.Millisecond
+	s.pipe.Admission = plancache.NewAdmission(plancache.AdmissionConfig{
 		Slots:         *admSlots,
 		MaxQueue:      *admQueue,
 		QueueTimeout:  time.Duration(*admQueueTimeoutMS) * time.Millisecond,
 		MaxQueryDOP:   *maxQueryDOP,
 		MemBudgetRows: *memBudgetRows,
-	}, defaultAdmissionSlots(), s.reg)
+	}, defaultAdmissionSlots(), s.pipe.Metrics)
 	if *slowLogFile != "" {
 		fh, err := os.Create(*slowLogFile)
 		if err != nil {
 			return err
 		}
 		defer fh.Close()
-		s.slow = obs.NewSlowLog(0, fh)
+		s.pipe.Slow = obs.NewSlowLog(0, fh)
 	}
 	if *eventsFile != "" {
 		fh, err := os.Create(*eventsFile)
@@ -628,8 +550,8 @@ func runServe(args []string, out io.Writer) error {
 			return err
 		}
 		defer fh.Close()
-		s.events = obs.NewEventLog(fh)
-		s.events.Now = time.Now
+		s.pipe.Events = obs.NewEventLog(fh)
+		s.pipe.Events.Now = time.Now
 	}
 
 	srv := &http.Server{Addr: *addr, Handler: s.mux()}
@@ -651,7 +573,7 @@ func runServe(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "shutdown signal received; draining (deadline %s)...\n", *drainTimeout)
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
-	if err := s.adm.Close(drainCtx); err != nil {
+	if err := s.pipe.Admission.Close(drainCtx); err != nil {
 		fmt.Fprintf(out, "drain incomplete: %v\n", err)
 	}
 	if err := srv.Shutdown(drainCtx); err != nil {
@@ -662,14 +584,14 @@ func runServe(args []string, out io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("persist ledger: %w", err)
 		}
-		if err := s.led.Save(fh); err != nil {
+		if err := s.pipe.Ledger.Save(fh); err != nil {
 			fh.Close()
 			return fmt.Errorf("persist ledger: %w", err)
 		}
 		if err := fh.Close(); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "ledger persisted to %s (%d fingerprints)\n", *ledgerOut, s.led.Len())
+		fmt.Fprintf(out, "ledger persisted to %s (%d fingerprints)\n", *ledgerOut, s.pipe.Ledger.Len())
 	}
 	fmt.Fprintln(out, "shutdown complete")
 	return nil

@@ -117,9 +117,9 @@ func TestServeOverloadShedsBounded(t *testing.T) {
 	}
 	// One execution slot, one queue seat, near-immediate queue timeout:
 	// concurrent arrivals beyond two must shed.
-	s.adm = plancache.NewAdmission(plancache.AdmissionConfig{
+	s.pipe.Admission = plancache.NewAdmission(plancache.AdmissionConfig{
 		Slots: 1, MaxQueue: 1, QueueTimeout: 5 * time.Millisecond,
-	}, 1, s.reg)
+	}, 1, s.pipe.Metrics)
 	ts := httptest.NewServer(s.mux())
 	defer ts.Close()
 
@@ -170,8 +170,8 @@ func TestServeOverloadShedsBounded(t *testing.T) {
 	if retryAfter == "" {
 		t.Error("429 response missing Retry-After header")
 	}
-	if got := s.reg.Counter("robustqo_admission_shed_total").Value() +
-		s.reg.Counter("robustqo_admission_timeouts_total").Value(); got == 0 {
+	if got := s.pipe.Metrics.Counter("robustqo_admission_shed_total").Value() +
+		s.pipe.Metrics.Counter("robustqo_admission_timeouts_total").Value(); got == 0 {
 		t.Error("no shed/timeout counters recorded")
 	}
 
@@ -196,7 +196,7 @@ func TestServeQueryTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.reqTimeout = time.Nanosecond
+	s.pipe.Timeout = time.Nanosecond
 	ts := httptest.NewServer(s.mux())
 	defer ts.Close()
 
@@ -217,7 +217,7 @@ func TestServeShutdownRejects(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := s.adm.Close(ctx); err != nil {
+	if err := s.pipe.Admission.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
 	sql := url.QueryEscape("SELECT COUNT(*) AS n FROM lineitem WHERE l_quantity < 10")

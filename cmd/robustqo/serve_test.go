@@ -7,6 +7,8 @@ import (
 	"net/url"
 	"strings"
 	"testing"
+
+	"robustqo/internal/plancache"
 )
 
 func testServer(t *testing.T) *httptest.Server {
@@ -111,8 +113,20 @@ func TestServeLedgerAndQueriesEndpoints(t *testing.T) {
 			t.Errorf("/debug/ledger missing %q:\n%s", want, body)
 		}
 	}
-	if code, _ := get(t, ts.URL+"/debug/ledger?n=nope"); code != http.StatusBadRequest {
-		t.Errorf("bad n: code %d, want 400", code)
+	resp, err := http.Get(ts.URL + "/debug/ledger?n=nope")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest ||
+		!strings.HasPrefix(resp.Header.Get("Content-Type"), "application/json") ||
+		!strings.Contains(string(raw), `"code":"bad_n"`) {
+		t.Errorf("bad n: code %d, content type %q, body %q; want a 400 JSON bad_n error",
+			resp.StatusCode, resp.Header.Get("Content-Type"), raw)
 	}
 
 	// The ledger and latency series land in /metrics.
@@ -132,19 +146,34 @@ func TestServeLedgerAndQueriesEndpoints(t *testing.T) {
 }
 
 func TestServeQueryErrors(t *testing.T) {
-	ts := testServer(t)
+	s, err := newServer(5000, "robust", 0.8, 500, 2005, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A 100-row memory budget admits the LIMIT 1 probes below and rejects
+	// a full lineitem scan before it executes.
+	s.pipe.Admission = plancache.NewAdmission(plancache.AdmissionConfig{MemBudgetRows: 100},
+		defaultAdmissionSlots(), s.pipe.Metrics)
+	ts := httptest.NewServer(s.mux())
+	defer ts.Close()
 	for _, tc := range []struct {
 		name, path string
+		status     int
+		code       string
 	}{
-		{"missing sql", "/query"},
-		{"bad sql", "/query?sql=" + url.QueryEscape("DELETE FROM lineitem")},
-		{"bad threshold", "/query?threshold=nope&sql=" + url.QueryEscape("SELECT * FROM lineitem LIMIT 1")},
-		{"threshold out of range", "/query?threshold=1.5&sql=" + url.QueryEscape("SELECT * FROM lineitem LIMIT 1")},
-		{"unknown table", "/query?sql=" + url.QueryEscape("SELECT * FROM ghost")},
+		{"missing sql", "/query", http.StatusBadRequest, "missing_sql"},
+		{"bad sql", "/query?sql=" + url.QueryEscape("DELETE FROM lineitem"), http.StatusBadRequest, "parse_error"},
+		{"bad threshold", "/query?threshold=nope&sql=" + url.QueryEscape("SELECT * FROM lineitem LIMIT 1"), http.StatusBadRequest, "bad_threshold"},
+		{"threshold out of range", "/query?threshold=1.5&sql=" + url.QueryEscape("SELECT * FROM lineitem LIMIT 1"), http.StatusBadRequest, "bad_threshold"},
+		{"unknown table", "/query?sql=" + url.QueryEscape("SELECT * FROM ghost"), http.StatusBadRequest, "optimize_error"},
+		{"over memory budget", "/query?sql=" + url.QueryEscape("SELECT l_id FROM lineitem"), http.StatusTooManyRequests, "mem_budget"},
 	} {
-		if code, _ := get(t, ts.URL+tc.path); code != http.StatusBadRequest {
-			t.Errorf("%s: code %d, want 400", tc.name, code)
+		if status, body := get(t, ts.URL+tc.path); status != tc.status || !strings.Contains(body, `"code":"`+tc.code+`"`) {
+			t.Errorf("%s: status %d body %q, want %d %s", tc.name, status, body, tc.status, tc.code)
 		}
+	}
+	if got := s.pipe.Metrics.Counter("robustqo_admission_mem_rejects_total").Value(); got != 1 {
+		t.Errorf("mem_rejects counter = %d, want 1", got)
 	}
 	if code, _ := get(t, ts.URL+"/nope"); code != http.StatusNotFound {
 		t.Errorf("unknown path not 404: %d", code)

@@ -1,6 +1,7 @@
 package robustqo
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -10,8 +11,8 @@ import (
 	"robustqo/internal/core"
 	"robustqo/internal/engine"
 	"robustqo/internal/histogram"
-	"robustqo/internal/optimizer"
 	"robustqo/internal/sample"
+	"robustqo/internal/session"
 	"robustqo/internal/sqlparse"
 	"robustqo/internal/stats"
 	"robustqo/internal/storage"
@@ -251,14 +252,15 @@ func (s *Session) Query(q *Query) (*Result, error) {
 // paper's query-hint mechanism (Section 6.2.5). Histogram sessions ignore
 // the threshold.
 func (s *Session) QueryWithThreshold(q *Query, t ConfidenceThreshold) (*Result, error) {
-	plan, ctx, err := s.plan(q, t)
+	pipe, est, err := s.pipeline(t)
 	if err != nil {
 		return nil, err
 	}
-	res, _, secs, err := engine.Run(ctx, plan.Root)
+	x, err := pipe.Run(context.Background(), "", q, est)
 	if err != nil {
 		return nil, err
 	}
+	res := x.Result
 	cols := make([]string, len(res.Schema.Fields))
 	for i, f := range res.Schema.Fields {
 		if f.Table != "" {
@@ -270,9 +272,9 @@ func (s *Session) QueryWithThreshold(q *Query, t ConfidenceThreshold) (*Result, 
 	return &Result{
 		Columns:          cols,
 		Rows:             res.Rows,
-		Plan:             engine.Explain(plan.Root),
-		EstimatedSeconds: plan.EstCost,
-		SimulatedSeconds: secs,
+		Plan:             engine.Explain(x.Plan.Root),
+		EstimatedSeconds: x.Plan.EstCost,
+		SimulatedSeconds: pipe.Ctx.Model.Time(x.Counters),
 	}, nil
 }
 
@@ -288,7 +290,11 @@ func (s *Session) QuerySQL(sql string) (*Result, error) {
 
 // Explain optimizes q and returns the chosen plan without executing it.
 func (s *Session) Explain(q *Query) (string, error) {
-	plan, _, err := s.plan(q, s.threshold)
+	pipe, est, err := s.pipeline(s.threshold)
+	if err != nil {
+		return "", err
+	}
+	plan, _, err := pipe.Plan(q, est)
 	if err != nil {
 		return "", err
 	}
@@ -310,7 +316,9 @@ func (s *Session) EstimateRows(tables []string, pred Expr) (float64, error) {
 	return e.Rows, nil
 }
 
-func (s *Session) plan(q *Query, t ConfidenceThreshold) (*optimizer.Plan, *engine.Context, error) {
+// pipeline returns the sink-free query pipeline over the database and
+// the session's estimator at threshold t.
+func (s *Session) pipeline(t ConfidenceThreshold) (*session.Pipeline, core.Estimator, error) {
 	ctx, err := s.db.context()
 	if err != nil {
 		return nil, nil, err
@@ -319,15 +327,7 @@ func (s *Session) plan(q *Query, t ConfidenceThreshold) (*optimizer.Plan, *engin
 	if err != nil {
 		return nil, nil, err
 	}
-	opt, err := optimizer.New(ctx, est)
-	if err != nil {
-		return nil, nil, err
-	}
-	plan, err := opt.Optimize(q)
-	if err != nil {
-		return nil, nil, err
-	}
-	return plan, ctx, nil
+	return &session.Pipeline{Ctx: ctx}, est, nil
 }
 
 // statisticsWireVersion versions the combined statistics bundle format.

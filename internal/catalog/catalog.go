@@ -135,17 +135,6 @@ type TableSchema struct {
 	Partition *PartitionSpec
 }
 
-// OrderedBy reports whether the physical row order is non-decreasing in
-// the named column.
-func (s *TableSchema) OrderedBy(column string) bool {
-	for _, c := range s.Ordered {
-		if c == column {
-			return true
-		}
-	}
-	return false
-}
-
 // ColumnIndex returns the ordinal of the named column, or -1.
 func (s *TableSchema) ColumnIndex(name string) int {
 	for i, c := range s.Columns {

@@ -132,9 +132,6 @@ func (e *TableEncoding) Segment(i int) Segment { return e.segs[i] }
 // NumCols returns the column count.
 func (e *TableEncoding) NumCols() int { return len(e.cols) }
 
-// ColKind returns the declared type of column c.
-func (e *TableEncoding) ColKind(c int) catalog.Type { return e.cols[c].kind }
-
 // Dict returns the table-wide sorted dictionary of a String column, or
 // nil for other column types. Callers must not modify it.
 func (e *TableEncoding) Dict(c int) []string { return e.cols[c].dict }

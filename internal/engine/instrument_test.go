@@ -201,7 +201,7 @@ func TestExplainAnalyzeRendering(t *testing.T) {
 		Pred:  expr.Cmp{Op: expr.GE, L: expr.C("l_ship"), R: expr.IntLit(0)},
 	}}
 	tr := obs.NewTrace("q")
-	inst := InstrumentTrace(plan, tr)
+	inst := InstrumentOpts(plan, InstrumentOptions{Trace: tr})
 	var c cost.Counters
 	if _, err := inst.Execute(ctx, &c); err != nil {
 		t.Fatal(err)

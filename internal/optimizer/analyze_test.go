@@ -41,7 +41,7 @@ func analyzeRun(t *testing.T, threshold float64, tr *obs.Trace) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst := engine.InstrumentTrace(plan.Root, tr)
+	inst := engine.InstrumentOpts(plan.Root, engine.InstrumentOptions{Trace: tr})
 	var c cost.Counters
 	if _, err := inst.Execute(ctx, &c); err != nil {
 		t.Fatal(err)

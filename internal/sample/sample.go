@@ -323,15 +323,6 @@ func (s *Set) Synopsis(table string) (*Synopsis, bool) {
 // Add registers (or replaces) a synopsis, keyed by its root.
 func (s *Set) Add(syn *Synopsis) { s.synopses[syn.Root] = syn }
 
-// AddPartitioned registers (or replaces) the per-shard synopses of a
-// partitioned root table, indexed by shard (nil entries for empty shards).
-func (s *Set) AddPartitioned(root string, shards []*Synopsis) {
-	if s.partitioned == nil {
-		s.partitioned = make(map[string][]*Synopsis)
-	}
-	s.partitioned[root] = shards
-}
-
 // Partitioned returns the per-shard synopses of a partitioned root table.
 func (s *Set) Partitioned(root string) ([]*Synopsis, bool) {
 	shards, ok := s.partitioned[root]

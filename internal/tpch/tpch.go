@@ -303,3 +303,37 @@ func Experiment2Query(x int64) *optimizer.Query {
 		},
 	}
 }
+
+// FeedbackCorpus is the deterministic 40-query SQL workload the ledger
+// run, the serve load benchmark and the differential tests execute:
+// four SPJ shapes — single-table range aggregate, date-window scan,
+// two-way join, three-way join — cycled with literals swept across
+// magnitude bins, so recurring predicate shapes accumulate feedback and
+// share a plan-cache template while distinct bins stay distinct
+// fingerprints and bindings.
+func FeedbackCorpus() []string {
+	months := []string{"01", "03", "05", "07", "09"}
+	var qs []string
+	for i := 0; i < 40; i++ {
+		v := i / 4
+		switch i % 4 {
+		case 0:
+			qs = append(qs, fmt.Sprintf(
+				"SELECT COUNT(*) AS n FROM lineitem WHERE l_quantity < %d", 3+v*5))
+		case 1:
+			m := months[v%len(months)]
+			qs = append(qs, fmt.Sprintf(
+				"SELECT SUM(l_extendedprice) AS revenue FROM lineitem WHERE l_shipdate BETWEEN DATE '199%d-%s-01' AND DATE '199%d-%s-28'",
+				3+v%5, m, 3+v%5, m))
+		case 2:
+			qs = append(qs, fmt.Sprintf(
+				"SELECT COUNT(*) AS n FROM lineitem, orders WHERE o_totalprice < %d AND l_quantity >= %d",
+				2000+v*9000, 10+v))
+		case 3:
+			qs = append(qs, fmt.Sprintf(
+				"SELECT COUNT(*) AS n FROM lineitem, orders, part WHERE p_size < %d AND l_quantity < %d",
+				5+v*4, 45-v*2))
+		}
+	}
+	return qs
+}
