@@ -28,12 +28,7 @@ bench-smoke:
 	$(GO) test -run=^$$ -bench=BenchmarkExecStreamVsMaterialize -benchtime=1x -benchmem ./internal/engine/
 	$(GO) test -run=^$$ -bench=BenchmarkHashJoinProbe -benchtime=1x -benchmem ./internal/engine/
 	$(GO) test -run=^$$ -bench=BenchmarkScanColumns -benchtime=1x -benchmem ./internal/engine/
-	$(GO) run ./cmd/benchobs -out BENCH_obs.json
-	$(GO) run ./cmd/benchparallel -out BENCH_parallel.json
-	$(GO) run ./cmd/benchjoin -out BENCH_join.json
-	$(GO) run ./cmd/benchshard -out BENCH_shard.json
-	$(GO) run ./cmd/benchserve -out BENCH_serve.json
-	$(GO) run ./cmd/benchcolumnar -out BENCH_columnar.json
+	$(GO) run ./cmd/bench
 
 # ledger-smoke runs the 40-query feedback corpus end to end: persists
 # the cardinality ledger, a slow-query log (threshold 0 so the artifact

@@ -59,7 +59,7 @@ func BenchmarkExecStreamVsMaterialize(b *testing.B) {
 		b.Run(bc.name+"/stream", func(b *testing.B) { run(b, plan, true) })
 		b.Run(bc.name+"/materialized", func(b *testing.B) { run(b, plan, false) })
 		// The obs wrapper must stay within a few percent of the bare
-		// streaming path; cmd/benchobs records the overhead in
+		// streaming path; `go run ./cmd/bench obs` records the overhead in
 		// BENCH_obs.json.
 		b.Run(bc.name+"/stream-instrumented", func(b *testing.B) { run(b, Instrument(benchPlan(bc.n)), true) })
 	}
