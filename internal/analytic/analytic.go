@@ -103,15 +103,6 @@ func (m TwoPlanModel) CostOf(plan Plan, p float64) float64 {
 	return m.Stable.At(p)
 }
 
-// PlanForEstimate returns the plan chosen for a selectivity estimate:
-// risky when the estimate is at or below the crossover.
-func (m TwoPlanModel) PlanForEstimate(s float64) Plan {
-	if s <= m.Crossover() {
-		return RiskyPlan
-	}
-	return StablePlan
-}
-
 // DecisionCutoff computes the largest sample match count k such that the
 // robust estimate cdf⁻¹(T) of Beta(k+a, n-k+b) still falls at or below
 // the crossover pc — i.e. the optimizer picks the risky plan iff k <=

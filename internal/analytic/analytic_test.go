@@ -34,20 +34,6 @@ func TestHighCrossoverModel(t *testing.T) {
 	}
 }
 
-func TestPlanForEstimate(t *testing.T) {
-	m := Paper51Model()
-	pc := m.Crossover()
-	if m.PlanForEstimate(pc/2) != RiskyPlan {
-		t.Error("below crossover should be risky")
-	}
-	if m.PlanForEstimate(pc*2) != StablePlan {
-		t.Error("above crossover should be stable")
-	}
-	if m.PlanForEstimate(pc) != RiskyPlan {
-		t.Error("at crossover the tie goes to the risky plan")
-	}
-}
-
 func TestDecisionCutoffMonotoneInThreshold(t *testing.T) {
 	m := Paper51Model()
 	prev := 1 << 30

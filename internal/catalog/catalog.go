@@ -5,10 +5,7 @@
 // their own.
 package catalog
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Type enumerates the column value types supported by the engine.
 type Type int
@@ -162,16 +159,6 @@ func (s *TableSchema) IndexOn(column string) (Index, bool) {
 		}
 	}
 	return Index{}, false
-}
-
-// ForeignKeyTo returns the foreign key from this table to ref, if any.
-func (s *TableSchema) ForeignKeyTo(ref string) (ForeignKey, bool) {
-	for _, fk := range s.Foreign {
-		if fk.RefTable == ref {
-			return fk, true
-		}
-	}
-	return ForeignKey{}, false
 }
 
 // Catalog is the set of table schemas making up a database, with the
@@ -349,36 +336,6 @@ func (c *Catalog) checkAcyclic() error {
 		}
 	}
 	return nil
-}
-
-// FKClosure returns the set of tables reachable from root by following
-// foreign keys (including root itself), sorted by name. This is the set of
-// tables folded into root's join synopsis.
-func (c *Catalog) FKClosure(root string) ([]string, error) {
-	if _, ok := c.tables[root]; !ok {
-		return nil, fmt.Errorf("catalog: unknown table %q", root)
-	}
-	seen := map[string]bool{root: true}
-	stack := []string{root}
-	for len(stack) > 0 {
-		name := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, fk := range c.tables[name].Foreign {
-			if !seen[fk.RefTable] {
-				if _, ok := c.tables[fk.RefTable]; !ok {
-					return nil, fmt.Errorf("catalog: table %q references unknown table %q", name, fk.RefTable)
-				}
-				seen[fk.RefTable] = true
-				stack = append(stack, fk.RefTable)
-			}
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for name := range seen {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out, nil
 }
 
 // RootOf determines the root relation of a set of tables joined by foreign

@@ -103,13 +103,6 @@ func TestSchemaLookups(t *testing.T) {
 	if _, ok := s.IndexOn("l_extendedprice"); ok {
 		t.Error("IndexOn unindexed column found")
 	}
-	fk, ok := s.ForeignKeyTo("part")
-	if !ok || fk.Column != "l_partkey" {
-		t.Errorf("ForeignKeyTo = %+v, %v", fk, ok)
-	}
-	if _, ok := s.ForeignKeyTo("nation"); ok {
-		t.Error("ForeignKeyTo(nation) found")
-	}
 }
 
 func TestAddTableValidation(t *testing.T) {
@@ -206,25 +199,6 @@ func TestTableNamesOrder(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("TableNames[%d] = %q, want %q", i, got[i], want[i])
 		}
-	}
-}
-
-func TestFKClosure(t *testing.T) {
-	c := buildTPCHCatalog(t)
-	got, err := c.FKClosure("lineitem")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"lineitem", "orders", "part"}
-	if len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
-		t.Errorf("FKClosure(lineitem) = %v", got)
-	}
-	got, err = c.FKClosure("orders")
-	if err != nil || len(got) != 1 || got[0] != "orders" {
-		t.Errorf("FKClosure(orders) = %v, %v", got, err)
-	}
-	if _, err := c.FKClosure("nope"); err == nil {
-		t.Error("FKClosure(nope) succeeded")
 	}
 }
 

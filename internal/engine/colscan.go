@@ -2,10 +2,10 @@ package engine
 
 // Encoded scan path: SeqScan over colstore compressed columnar segments.
 //
-// The encoded path slots in under the row path's window loop — both the
-// serial operator and the morsel workers call encScan.window for each
-// [next, end) row window instead of loading values through
-// storage.Table.Value — and is counter transparent: every window charges
+// The encoded path slots in under the row path's window loop — the
+// SeqScan morsel worker, which is also the serial scan, calls
+// encScan.window for each [next, end) row window instead of loading the
+// columns from storage.Table — and is counter transparent: every window charges
 // the exact sequential-page and tuple counters the row path charges,
 // including windows inside zone-skipped segments. The saving is
 // wall-clock (no decode, no residual evaluation on rows the encoded
@@ -55,7 +55,7 @@ func (m ScanMode) String() string {
 
 // encScanSpec is the cold, shareable half of an encoded scan: the table
 // encoding, compiled probes (immutable, safe across workers), and the
-// unbound residual. Built once at Open / openMorsels.
+// unbound residual. Built once in openMorsels.
 type encScanSpec struct {
 	enc  *colstore.TableEncoding
 	mode ScanMode
@@ -122,8 +122,8 @@ func (spec *encScanSpec) late() bool {
 }
 
 // encScan is one consumer's mutable scan state over a shared spec: the
-// bound residual plus selection-vector scratch. One per serial operator
-// or per morsel worker — never shared.
+// bound residual plus selection-vector scratch. One per morsel worker —
+// never shared.
 type encScan struct {
 	spec     *encScanSpec
 	residual *expr.Bound

@@ -189,7 +189,7 @@ func (o *exchangeOp) Open(ctx *Context, counters *cost.Counters) error {
 				if timed {
 					start = time.Now()
 				}
-				out, err := mw.runMorsel(m, &wc)
+				out, err := drainMorsel(mw, m, &wc)
 				if timed {
 					busy += time.Since(start)
 				}
@@ -371,5 +371,26 @@ func (o *exchangeOp) exportSkew(totalRows, totalMorsels, maxWorkerRows int64, nW
 			skew := float64(shardMax) * float64(len(o.shardRows)) / float64(shardTotal)
 			o.metrics.Histogram("robustqo_exchange_shard_skew", obs.SkewBuckets).Observe(skew)
 		}
+	}
+}
+
+// drainMorsel runs morsel m on a worker, charging counters, and copies
+// the rows it emits into arena slabs (see appendArenaRows): they outlive
+// the worker's batch, and a morsel allocates per slab, not per row.
+//
+//qo:hotpath
+func drainMorsel(w morselWorker, m int, counters *cost.Counters) ([]value.Row, error) {
+	w.seek(m, counters)
+	var rows []value.Row
+	var arena []value.Value
+	for {
+		b, err := w.Next()
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			return rows, nil
+		}
+		rows, arena = appendArenaRows(rows, arena, b)
 	}
 }

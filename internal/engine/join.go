@@ -54,81 +54,105 @@ func (j *HashJoin) Execute(ctx *Context, counters *cost.Counters) (*Result, erro
 // Stream implements Node.
 func (j *HashJoin) Stream() Operator { return &hashJoinOp{node: j} }
 
-// hashJoinOp drains the build side into a hash table at Open (the build is
-// inherently blocking) and then streams the probe side, emitting matches a
-// probe batch at a time. The probe is vectorized: it walks the probe
-// batch's key column directly — no per-row materialization into a scratch
-// row, and no boxing the key into an interface — and copies matching rows
-// column-wise out of the batch.
-type hashJoinOp struct {
-	node     *HashJoin
-	counters *cost.Counters
-	probe    Operator
-	table    *joinTable
-	pIdx     int
-	out      *Batch
-}
-
-func (o *hashJoinOp) Open(ctx *Context, counters *cost.Counters) error {
-	j := o.node
+// build runs the join's blocking half, once per execution: it resolves
+// both keys, drains the build side into a hash table (partitioned across
+// dop workers when large enough), records the table's metrics and
+// charges the build. It returns a probe loop over the finished table,
+// without a source or output batch yet, and the join's output schema.
+func (j *HashJoin) build(ctx *Context, counters *cost.Counters, dop int) (hashProbe, expr.RelSchema, error) {
 	buildSchema, err := j.Build.Schema(ctx)
 	if err != nil {
-		return err
+		return hashProbe{}, expr.RelSchema{}, err
 	}
 	probeSchema, err := j.Probe.Schema(ctx)
 	if err != nil {
-		return err
+		return hashProbe{}, expr.RelSchema{}, err
 	}
 	bIdx, err := buildSchema.Resolve(j.BuildCol)
 	if err != nil {
-		return fmt.Errorf("engine: HashJoin build key: %v", err)
+		return hashProbe{}, expr.RelSchema{}, fmt.Errorf("engine: HashJoin build key: %v", err)
 	}
-	o.pIdx, err = probeSchema.Resolve(j.ProbeCol)
+	pIdx, err := probeSchema.Resolve(j.ProbeCol)
 	if err != nil {
-		return fmt.Errorf("engine: HashJoin probe key: %v", err)
+		return hashProbe{}, expr.RelSchema{}, fmt.Errorf("engine: HashJoin probe key: %v", err)
 	}
 	buildRows, err := openAndDrainArena(ctx, j.Build, counters)
 	if err != nil {
+		return hashProbe{}, expr.RelSchema{}, err
+	}
+	table := buildJoinTable(buildRows, bIdx, j.BuildRowsEst, dop)
+	table.recordMetrics(ctx.Metrics)
+	counters.HashBuilds += int64(len(buildRows))
+	return hashProbe{table: table, pIdx: pIdx}, buildSchema.Concat(probeSchema), nil
+}
+
+// hashProbe is the join's streaming half, shared by the serial operator
+// and the Exchange's morsel worker: it pulls probe batches from src and
+// emits their matches. The probe is vectorized: it walks the probe
+// batch's key column directly — no per-row materialization into a
+// scratch row, and no boxing the key into an interface — and copies
+// matching rows column-wise out of the batch.
+type hashProbe struct {
+	src      interface{ Next() (*Batch, error) }
+	counters *cost.Counters
+	table    *joinTable
+	pIdx     int
+	out      *Batch
+	// probed counts the probe rows pulled, for the morsel worker's
+	// EXPLAIN ANALYZE feed.
+	probed int64
+}
+
+// Next probes the table with each row of the next probe batch, emitting
+// matches column-wise into the pooled output batch. The charges — one
+// probe per probe row, one tuple per match — are per-row, so they do not
+// depend on how the probe side is split into batches or morsels.
+//
+//qo:hotpath
+func (p *hashProbe) Next() (*Batch, error) {
+	for {
+		b, err := p.src.Next()
+		if err != nil || b == nil {
+			return nil, err
+		}
+		p.probed += int64(b.Len())
+		p.counters.HashProbes += int64(b.Len())
+		p.out.Reset()
+		keys := b.Cols()[p.pIdx]
+		for r := 0; r < b.Len(); r++ {
+			for idx := p.table.first(keys[r]); idx >= 0; idx = p.table.next[idx] {
+				p.counters.Tuples++
+				p.out.appendConcatFrom(p.table.rows[idx], b, r)
+			}
+		}
+		if p.out.Len() > 0 {
+			return p.out, nil
+		}
+	}
+}
+
+// hashJoinOp builds the hash table at Open (the build is inherently
+// blocking) and then runs the probe loop over the probe side's operator,
+// emitting matches a probe batch at a time.
+type hashJoinOp struct {
+	hashProbe
+	node  *HashJoin
+	probe Operator
+}
+
+func (o *hashJoinOp) Open(ctx *Context, counters *cost.Counters) error {
+	p, schema, err := o.node.build(ctx, counters, 1)
+	if err != nil {
 		return err
 	}
-	o.table = buildJoinTable(buildRows, bIdx, j.BuildRowsEst, 1)
-	o.table.recordMetrics(ctx.Metrics)
-	counters.HashBuilds += int64(len(buildRows))
-	o.counters = counters
-	o.probe = j.Probe.Stream()
+	o.probe = o.node.Probe.Stream()
 	if err := o.probe.Open(ctx, counters); err != nil {
 		return err
 	}
-	o.out = getBatch(buildSchema.Concat(probeSchema))
+	p.src, p.counters = o.probe, counters
+	o.hashProbe = p
+	o.out = getBatch(schema)
 	return nil
-}
-
-// Next probes the table with each surviving probe row, emitting matches
-// column-wise into the operator's pooled batch.
-//
-//qo:hotpath
-func (o *hashJoinOp) Next() (*Batch, error) {
-	for {
-		b, err := o.probe.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			return nil, nil
-		}
-		o.counters.HashProbes += int64(b.Len())
-		o.out.Reset()
-		keys := b.Cols()[o.pIdx]
-		for r := 0; r < b.Len(); r++ {
-			for idx := o.table.first(keys[r]); idx >= 0; idx = o.table.next[idx] {
-				o.counters.Tuples++
-				o.out.appendConcatFrom(o.table.rows[idx], b, r)
-			}
-		}
-		if o.out.Len() > 0 {
-			return o.out, nil
-		}
-	}
 }
 
 func (o *hashJoinOp) Close() {

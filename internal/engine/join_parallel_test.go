@@ -215,47 +215,58 @@ func TestHashJoinPresizeMetrics(t *testing.T) {
 	}
 }
 
-// TestMorselProbeAllocs pins the arena discipline of the parallel join
-// path (found by qolint's hotalloc analyzer): hashJoinMorselWorker used
-// to build one fresh value.Row per match, costing an allocation per
-// output row across a drain. With slab-backed output rows and a
-// pre-sized row-header slice, a full drain allocates per arena slab —
-// the ceiling here is one allocation per eight output rows, and the
-// old code exceeded one per row.
+// TestMorselProbeAllocs pins the arena discipline of the morsel workers
+// (found by qolint's hotalloc analyzer): the join worker used to build
+// one fresh value.Row per match, costing an allocation per output row
+// across a drain. drainMorsel copies every worker's rows into arena
+// slabs, so a full drain allocates per slab — the ceiling here is one
+// allocation per eight output rows, and the old join code exceeded one
+// per row. The scan workers run under the same ceiling.
 func TestMorselProbeAllocs(t *testing.T) {
 	_, ctx := testDB(t, 4000, 4, 40)
-	node := &HashJoin{
-		Build:    &SeqScan{Table: "orders"},
-		Probe:    &SeqScan{Table: "lineitem"},
-		BuildCol: expr.ColumnRef{Table: "orders", Column: "o_orderkey"},
-		ProbeCol: expr.ColumnRef{Table: "lineitem", Column: "l_orderkey"},
+	cases := []struct {
+		name     string
+		node     morselSource
+		wantRows int
+	}{
+		{"hashjoin", &HashJoin{
+			Build:    &SeqScan{Table: "orders"},
+			Probe:    &SeqScan{Table: "lineitem"},
+			BuildCol: expr.ColumnRef{Table: "orders", Column: "o_orderkey"},
+			ProbeCol: expr.ColumnRef{Table: "lineitem", Column: "l_orderkey"},
+		}, 4000 * 4},
+		{"seqscan", &SeqScan{Table: "lineitem"}, 4000 * 4},
+		{"indexrangescan", &IndexRangeScan{Table: "lineitem", Range: KeyRange{Column: "l_ship", Lo: 0, Hi: 1 << 20}}, 4000 * 4},
 	}
-	var c cost.Counters
-	runner, err := node.openMorsels(ctx, &c, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := runner.newWorker()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.release()
-	const wantRows = 4000 * 4
-	allocs := testing.AllocsPerRun(5, func() {
-		total := 0
-		for m := 0; m < runner.numMorsels(); m++ {
-			rows, err := w.runMorsel(m, &c)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var c cost.Counters
+			runner, err := tc.node.openMorsels(ctx, &c, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			total += len(rows)
-		}
-		if total != wantRows {
-			t.Fatalf("drained %d joined rows, want %d", total, wantRows)
-		}
-	})
-	if ceiling := float64(wantRows) / 8; allocs > ceiling {
-		t.Fatalf("parallel probe drain allocs %.0f, want <= %.0f (arena slabs, not per-row)", allocs, ceiling)
+			w, err := runner.newWorker()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.release()
+			allocs := testing.AllocsPerRun(5, func() {
+				total := 0
+				for m := 0; m < runner.numMorsels(); m++ {
+					rows, err := drainMorsel(w, m, &c)
+					if err != nil {
+						t.Fatal(err)
+					}
+					total += len(rows)
+				}
+				if total != tc.wantRows {
+					t.Fatalf("drained %d rows, want %d", total, tc.wantRows)
+				}
+			})
+			if ceiling := float64(tc.wantRows) / 8; allocs > ceiling {
+				t.Fatalf("morsel drain allocs %.0f, want <= %.0f (arena slabs, not per-row)", allocs, ceiling)
+			}
+			t.Logf("allocs per full drain: %.0f for %d rows", allocs, tc.wantRows)
+		})
 	}
-	t.Logf("allocs per full drain: %.0f for %d joined rows", allocs, wantRows)
 }

@@ -1,20 +1,23 @@
 package engine
 
-// Morsel-driven parallelism for the leaf scans. A morselizable source
-// splits its streaming work into fixed-size contiguous morsels that an
-// Exchange worker pool consumes; the blocking Open-phase work (catalog
-// resolution, index seeks, RID intersection) stays on the coordinator and
-// is charged to the shared counters exactly once, just as the serial
-// operator's Open would charge it.
+// Morsel-driven execution for the leaf scans. A morselizable source
+// splits its streaming work into fixed-size contiguous morsels; the
+// blocking Open-phase work (catalog resolution, index seeks, RID
+// intersection) happens once in openMorsels and is charged to the shared
+// counters there.
 //
-// Counter exactness is the load-bearing property: a full parallel drain
-// must produce byte-identical cost.Counters to the serial pipeline. That
-// holds because every per-morsel charge is tiling-invariant:
+// The morsel worker is the only implementation of a scan's streaming
+// phase. Serially, a scan's operator is one worker walking morsels
+// 0..n-1 in order on the caller's counters (morselOp); under an Exchange,
+// DOP workers claim the same morsels concurrently, each charging private
+// counters merged at the barrier. Both run the same window loop, so
+// counter exactness needs no second copy kept in step — only that every
+// per-morsel charge is tiling-invariant:
 //
 //   - SeqScan charges pages whose first tuple falls inside the current
-//     row window; morsel boundaries are multiples of BatchSize, so the
-//     windows are exactly the serial pipeline's windows, merely
-//     partitioned across workers.
+//     row window; morsels are tiled from each shard's base in MorselSize
+//     steps, a multiple of BatchSize, so the windows are the same
+//     whichever worker runs a morsel.
 //   - RID fetches charge one random page and one tuple per RID, which is
 //     independent of how the RID list is partitioned.
 //
@@ -32,39 +35,39 @@ import (
 )
 
 // MorselSize is the number of rows (or RIDs) one morsel covers. It is a
-// multiple of BatchSize so parallel sub-batch windows coincide with the
-// serial pipeline's windows, which is what keeps the per-window page
-// charges byte-identical under any partitioning.
+// multiple of BatchSize so every worker's windows coincide with the
+// serial walk's windows, which is what keeps the per-window page charges
+// byte-identical under any partitioning.
 const MorselSize = 4 * BatchSize
 
 // morselSource is implemented by nodes whose streaming phase can be
-// partitioned into morsels. openMorsels performs the serial operator's
-// blocking Open work — charged to the shared counters on the coordinator
-// — and returns a runner over the remaining row-fetch work. dop is the
-// worker count the Exchange will run; leaf scans ignore it, while
-// HashJoin uses it to partition its build across that many workers before
-// the probe morsels start.
+// partitioned into morsels. openMorsels performs the blocking Open work —
+// charged to the shared counters on the caller — and returns a runner
+// over the remaining row-fetch work. dop is the worker count that will
+// run it; leaf scans ignore it, while HashJoin uses it to partition its
+// build across that many workers before the probe morsels start.
 type morselSource interface {
 	Node
 	openMorsels(ctx *Context, counters *cost.Counters, dop int) (morselRunner, error)
 }
 
 // morselRunner partitions a source's streaming work into numMorsels
-// contiguous morsels. newWorker returns an independent worker context;
-// workers run disjoint morsels concurrently, each charging its own
-// counters (bound predicates carry per-evaluation scratch, so every
-// worker binds its own copy).
+// contiguous morsels. newWorker returns an independent worker; workers
+// run disjoint morsels concurrently (bound predicates carry
+// per-evaluation scratch, so every worker binds its own copy).
 type morselRunner interface {
 	numMorsels() int
 	newWorker() (morselWorker, error)
 }
 
-// morselWorker processes single morsels. runMorsel charges the morsel's
-// page and tuple work into counters and returns the surviving rows,
-// freshly cloned (they outlive the worker's scratch batch). release
-// returns worker-owned scratch to the batch pool.
+// morselWorker is a batch cursor over one morsel at a time. seek
+// positions it at the start of morsel m and charges all later work to
+// counters; Next returns the morsel's next non-empty batch, or nil at the
+// morsel's end. The batch is valid until the next seek, Next or release.
+// release returns worker-owned scratch to the batch pool.
 type morselWorker interface {
-	runMorsel(m int, counters *cost.Counters) ([]value.Row, error)
+	seek(m int, counters *cost.Counters)
+	Next() (*Batch, error)
 	release()
 }
 
@@ -109,11 +112,56 @@ type morselStatsFeeder interface {
 	feedStats()
 }
 
+// morselOp is the serial operator of every leaf scan: one morsel worker
+// walking morsels 0..n-1 in order on the caller's counters. It charges
+// each window only as it is pulled, so a LIMIT above stops the scan
+// after the window that fills it.
+type morselOp struct {
+	src      morselSource
+	counters *cost.Counters
+	w        morselWorker
+	m, n     int
+}
+
+func (o *morselOp) Open(ctx *Context, counters *cost.Counters) error {
+	r, err := o.src.openMorsels(ctx, counters, 1)
+	if err != nil {
+		return err
+	}
+	if o.w, err = r.newWorker(); err != nil {
+		return err
+	}
+	o.counters, o.n = counters, r.numMorsels()
+	if o.n > 0 {
+		o.w.seek(0, counters)
+	}
+	return nil
+}
+
+func (o *morselOp) Next() (*Batch, error) {
+	for o.m < o.n {
+		if b, err := o.w.Next(); b != nil || err != nil {
+			return b, err
+		}
+		if o.m++; o.m < o.n {
+			o.w.seek(o.m, o.counters)
+		}
+	}
+	return nil, nil
+}
+
+func (o *morselOp) Close() {
+	if o.w != nil {
+		o.w.release()
+		o.w = nil
+	}
+}
+
 // --- SeqScan ---
 
-// openMorsels implements morselSource. The serial SeqScan charges nothing
-// at Open; the filter is bound once here so malformed predicates fail at
-// Open exactly as they do serially.
+// openMorsels implements morselSource. A SeqScan charges nothing at
+// Open; the filter is bound here, on the caller, so a malformed predicate
+// fails at Open even when there are no morsels to start a worker for.
 func (s *SeqScan) openMorsels(ctx *Context, _ *cost.Counters, _ int) (morselRunner, error) {
 	t, schema, cols, err := scanTable(ctx, s.Table, s.Cols)
 	if err != nil {
@@ -139,8 +187,8 @@ type seqMorselRunner struct {
 	schema expr.RelSchema
 	cols   []int
 	// morsels are the shard-major (shard, morsel) work units: ascending
-	// row-id windows, each inside one surviving shard. The Exchange's
-	// merge-by-morsel-index therefore reproduces global row-id order.
+	// row-id windows, each inside one surviving shard. Walking them in
+	// order therefore reproduces global row-id order.
 	morsels []rowSpan
 	// shards[m] is the span (shard) index morsel m was tiled from.
 	shards []int
@@ -167,6 +215,7 @@ func (r *seqMorselRunner) newWorker() (morselWorker, error) {
 	w := &seqMorselWorker{r: r, pred: pred, out: getBatch(r.schema)}
 	if r.spec != nil {
 		if w.enc, err = r.spec.newState(r.schema); err != nil {
+			putBatch(w.out)
 			return nil, err
 		}
 	}
@@ -174,56 +223,58 @@ func (r *seqMorselRunner) newWorker() (morselWorker, error) {
 }
 
 type seqMorselWorker struct {
-	r    *seqMorselRunner
-	pred *expr.Bound
-	enc  *encScan
-	out  *Batch
-	sel  []int
+	r        *seqMorselRunner
+	counters *cost.Counters
+	pred     *expr.Bound
+	enc      *encScan
+	next, hi int
+	out      *Batch
+	sel      []int
 }
 
-// runMorsel loads, filters, and clones out the morsel's surviving rows.
-// Survivors are copied into arena slabs rather than one allocation per
-// row, so a full drain allocates per slab, not per tuple.
+func (w *seqMorselWorker) seek(m int, counters *cost.Counters) {
+	w.next, w.hi = w.r.morsels[m].lo, w.r.morsels[m].hi
+	w.counters = counters
+}
+
+// Next loads the morsel's next row window column-wise (or through the
+// encoded path) and filters it in place.
 //
 //qo:hotpath
-func (w *seqMorselWorker) runMorsel(m int, counters *cost.Counters) ([]value.Row, error) {
-	t := w.r.t
-	lo, hi := w.r.morsels[m].lo, w.r.morsels[m].hi
-	var rows []value.Row
-	var arena []value.Value
-	for next := lo; next < hi; {
-		end := min(next+BatchSize, hi)
+func (w *seqMorselWorker) Next() (*Batch, error) {
+	for w.next < w.hi {
+		next, end := w.next, min(w.next+BatchSize, w.hi)
+		w.next = end
 		if w.enc != nil {
-			// Encoded columnar window — identical counters to the row path.
-			if err := w.enc.window(w.out, w.pred, next, end, counters); err != nil {
+			// Encoded columnar window: identical counters, filtered batch.
+			if err := w.enc.window(w.out, w.pred, next, end, w.counters); err != nil {
 				//qo:alloc-ok error path, cold
 				return nil, fmt.Errorf("engine: SeqScan(%s): %v", w.r.node.Table, err)
 			}
-			rows, arena = appendArenaRows(rows, arena, w.out)
-			next = end
-			continue
+		} else {
+			w.out.Reset()
+			for c, tc := range w.r.cols {
+				w.out.cols[c] = w.r.t.AppendColumn(w.out.cols[c], tc, next, end)
+			}
+			w.out.n = end - next
+			// Pages whose first tuple falls inside the window are charged
+			// now; across a full scan this sums to exactly NumPages.
+			const per = storage.TuplesPerPage
+			w.counters.SeqPages += int64((end+per-1)/per - (next+per-1)/per)
+			w.counters.Tuples += int64(end - next)
+			w.sel = identSel(w.sel, w.out.Len())
+			keep, err := w.pred.EvalBatch(w.out.Cols(), w.sel)
+			if err != nil {
+				//qo:alloc-ok error path, cold
+				return nil, fmt.Errorf("engine: SeqScan(%s): %v", w.r.node.Table, err)
+			}
+			w.out.Gather(keep)
 		}
-		w.out.Reset()
-		// Column-wise bulk load of the row window [next, end) — the same
-		// windows, charges, and filter evaluation as seqScanOp.Next.
-		for c, tc := range w.r.cols {
-			w.out.cols[c] = t.AppendColumn(w.out.cols[c], tc, next, end)
+		if w.out.Len() > 0 {
+			return w.out, nil
 		}
-		w.out.n = end - next
-		const per = storage.TuplesPerPage
-		counters.SeqPages += int64((end+per-1)/per - (next+per-1)/per)
-		counters.Tuples += int64(end - next)
-		w.sel = identSel(w.sel, w.out.Len())
-		keep, err := w.pred.EvalBatch(w.out.Cols(), w.sel)
-		if err != nil {
-			//qo:alloc-ok error path, cold
-			return nil, fmt.Errorf("engine: SeqScan(%s): %v", w.r.node.Table, err)
-		}
-		w.out.Gather(keep)
-		rows, arena = appendArenaRows(rows, arena, w.out)
-		next = end
 	}
-	return rows, nil
+	return nil, nil
 }
 
 func (w *seqMorselWorker) release() {
@@ -233,8 +284,8 @@ func (w *seqMorselWorker) release() {
 
 // --- RID-list scans (IndexRangeScan, IndexIntersect) ---
 
-// openMorsels implements morselSource: the index seek happens here, on
-// the coordinator, with the same charges as the serial Open.
+// openMorsels implements morselSource: the index seek happens here, once,
+// charged to the caller's counters.
 func (s *IndexRangeScan) openMorsels(ctx *Context, counters *cost.Counters, _ int) (morselRunner, error) {
 	t, schema, cols, err := scanTable(ctx, s.Table, s.Cols)
 	if err != nil {
@@ -258,8 +309,7 @@ func (s *IndexRangeScan) openMorsels(ctx *Context, counters *cost.Counters, _ in
 }
 
 // openMorsels implements morselSource: all probes and the intersection
-// happen here, on the coordinator, with the same charges as the serial
-// Open.
+// happen here, once, charged to the caller's counters.
 func (s *IndexIntersect) openMorsels(ctx *Context, counters *cost.Counters, _ int) (morselRunner, error) {
 	if len(s.Ranges) == 0 {
 		return nil, fmt.Errorf("engine: IndexIntersect(%s) with no ranges", s.Table)
@@ -318,33 +368,36 @@ func (r *ridMorselRunner) newWorker() (morselWorker, error) {
 }
 
 type ridMorselWorker struct {
-	r    *ridMorselRunner
-	pred *expr.Bound
-	out  *Batch
-	buf  value.Row
-	sel  []int
+	r        *ridMorselRunner
+	counters *cost.Counters
+	pred     *expr.Bound
+	next, hi int
+	out      *Batch
+	buf      value.Row
+	sel      []int
 }
 
-// runMorsel fetches, filters, and clones out the morsel's surviving
-// rows, copying survivors into arena slabs exactly as the SeqScan worker
-// does.
+func (w *ridMorselWorker) seek(m int, counters *cost.Counters) {
+	w.next = m * MorselSize
+	w.hi = min(w.next+MorselSize, len(w.r.rids))
+	w.counters = counters
+}
+
+// Next fetches and filters the morsel's next window of RIDs, charging
+// one random page and one tuple per RID as the row is fetched.
 //
 //qo:hotpath
-func (w *ridMorselWorker) runMorsel(m int, counters *cost.Counters) ([]value.Row, error) {
-	rids := w.r.rids
-	lo := m * MorselSize
-	hi := min(lo+MorselSize, len(rids))
-	var rows []value.Row
-	var arena []value.Value
-	for next := lo; next < hi; {
-		end := min(next+BatchSize, hi)
+func (w *ridMorselWorker) Next() (*Batch, error) {
+	for w.next < w.hi {
+		end := min(w.next+BatchSize, w.hi)
 		w.out.Reset()
-		for _, rid := range rids[next:end] {
-			counters.RandPages++
-			counters.Tuples++
+		for _, rid := range w.r.rids[w.next:end] {
+			w.counters.RandPages++
+			w.counters.Tuples++
 			w.r.t.ReadRowCols(int(rid), w.r.cols, w.buf)
 			w.out.AppendRow(w.buf)
 		}
+		w.next = end
 		w.sel = identSel(w.sel, w.out.Len())
 		keep, err := w.pred.EvalBatch(w.out.Cols(), w.sel)
 		if err != nil {
@@ -352,10 +405,11 @@ func (w *ridMorselWorker) runMorsel(m int, counters *cost.Counters) ([]value.Row
 			return nil, fmt.Errorf("engine: %s: %v", w.r.errCtx, err)
 		}
 		w.out.Gather(keep)
-		rows, arena = appendArenaRows(rows, arena, w.out)
-		next = end
+		if w.out.Len() > 0 {
+			return w.out, nil
+		}
 	}
-	return rows, nil
+	return nil, nil
 }
 
 func (w *ridMorselWorker) release() {

@@ -86,34 +86,6 @@ func (ix *Index) Equal(k int64) ([]int32, int) {
 	return ix.Range(k, k)
 }
 
-// CountRange returns how many leaf entries fall in [lo, hi] without
-// materializing the RID list.
-func (ix *Index) CountRange(lo, hi int64) int {
-	if hi < lo {
-		return 0
-	}
-	start := sort.Search(len(ix.entries), func(i int) bool { return ix.entries[i].Key >= lo })
-	end := sort.Search(len(ix.entries), func(i int) bool { return ix.entries[i].Key > hi })
-	return end - start
-}
-
-// MinKey and MaxKey return the extreme keys; ok is false for an empty
-// index.
-func (ix *Index) MinKey() (int64, bool) {
-	if len(ix.entries) == 0 {
-		return 0, false
-	}
-	return ix.entries[0].Key, true
-}
-
-// MaxKey returns the largest key in the index.
-func (ix *Index) MaxKey() (int64, bool) {
-	if len(ix.entries) == 0 {
-		return 0, false
-	}
-	return ix.entries[len(ix.entries)-1].Key, true
-}
-
 func sortRIDs(rids []int32) {
 	sort.Slice(rids, func(i, j int) bool { return rids[i] < rids[j] })
 }

@@ -66,9 +66,6 @@ func TestRangeEmptyAndInverted(t *testing.T) {
 	if rids, n := ix.Range(3, 1); rids != nil || n != 0 {
 		t.Errorf("inverted = %v, %d", rids, n)
 	}
-	if n := ix.CountRange(5, 2); n != 0 {
-		t.Errorf("CountRange inverted = %d", n)
-	}
 }
 
 func TestEqualAndCount(t *testing.T) {
@@ -78,30 +75,8 @@ func TestEqualAndCount(t *testing.T) {
 	if scanned != 3 || len(rids) != 3 {
 		t.Errorf("Equal(7) = %v, %d", rids, scanned)
 	}
-	if n := ix.CountRange(2, 7); n != 4 {
-		t.Errorf("CountRange = %d", n)
-	}
 	if rids, _ := ix.Equal(99); rids != nil {
 		t.Errorf("Equal(99) = %v", rids)
-	}
-}
-
-func TestMinMaxKey(t *testing.T) {
-	tab := buildTestTable(t, []int64{4, -2, 10})
-	ix, _ := Build(tab, tab.Schema().Indexes[0])
-	if k, ok := ix.MinKey(); !ok || k != -2 {
-		t.Errorf("MinKey = %d, %v", k, ok)
-	}
-	if k, ok := ix.MaxKey(); !ok || k != 10 {
-		t.Errorf("MaxKey = %d, %v", k, ok)
-	}
-	empty := buildTestTable(t, nil)
-	ixe, _ := Build(empty, empty.Schema().Indexes[0])
-	if _, ok := ixe.MinKey(); ok {
-		t.Error("empty MinKey ok")
-	}
-	if _, ok := ixe.MaxKey(); ok {
-		t.Error("empty MaxKey ok")
 	}
 }
 
@@ -193,7 +168,7 @@ func TestRangeMatchesNaiveProperty(t *testing.T) {
 			}
 			prev = r
 		}
-		return ix.CountRange(lo, hi) == len(wantSet)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

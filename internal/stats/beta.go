@@ -104,20 +104,6 @@ func (d Beta) CDF(x float64) float64 {
 	return regIncBeta(d.Alpha, d.Beta, x)
 }
 
-// Survival returns P[X > x] = 1 - CDF(x), computed with better relative
-// accuracy in the upper tail by exploiting I_x(a,b) = 1 - I_{1-x}(b,a).
-func (d Beta) Survival(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return math.NaN()
-	case x <= 0:
-		return 1
-	case x >= 1:
-		return 0
-	}
-	return regIncBeta(d.Beta, d.Alpha, 1-x)
-}
-
 // ErrBadProbability is returned by Quantile when p lies outside [0, 1].
 var ErrBadProbability = errors.New("stats: probability outside [0, 1]")
 

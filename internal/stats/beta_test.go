@@ -126,15 +126,6 @@ func TestBetaPDFIntegratesToCDF(t *testing.T) {
 	}
 }
 
-func TestBetaSurvivalComplement(t *testing.T) {
-	d := Beta{Alpha: 50.5, Beta: 150.5}
-	for _, x := range []float64{0.01, 0.2, 0.25, 0.5, 0.9} {
-		if got, want := d.Survival(x), 1-d.CDF(x); !almostEqual(got, want, 1e-12) {
-			t.Errorf("Survival(%g) = %g, want %g", x, got, want)
-		}
-	}
-}
-
 func TestBetaQuantileInvertsCDF(t *testing.T) {
 	dists := []Beta{
 		{1, 1}, {0.5, 0.5}, {2, 5}, {10.5, 90.5}, {50.5, 150.5},
