@@ -94,6 +94,33 @@ func TestCheckWaivesOnlyClockGatesBelowMinCPUs(t *testing.T) {
 	}
 }
 
+// TestPrunedScanDOP2GatesEnforcedAtTwoCPUs pins that the pruned scan's
+// DOP-2 gates — no slower than serial, bytes within 10% of serial — are
+// enforced on a 2-CPU machine, while its DOP-4 speedup is waived there.
+func TestPrunedScanDOP2GatesEnforcedAtTwoCPUs(t *testing.T) {
+	slow := workload{
+		SerialNsPerOp: 100, DOP2NsPerOp: 101, SpeedupDOP4: 1,
+		SerialBytesPerOp: 1000, DOP2BytesPerOp: 1101,
+	}
+	waived, err := check(prunedScanGates(slow), 2)
+	if !slices.Equal(waived, []string{"dop4_speedup"}) {
+		t.Errorf("at 2 CPUs waived %v, want [dop4_speedup]", waived)
+	}
+	for _, name := range []string{"dop2_no_slower", "dop2_bytes"} {
+		if err == nil || !strings.Contains(err.Error(), "gate "+name+":") {
+			t.Errorf("at 2 CPUs err = %v, want gate %s failed", err, name)
+		}
+	}
+
+	fine := workload{
+		SerialNsPerOp: 100, DOP2NsPerOp: 100, SpeedupDOP4: shardMinSpeedup,
+		SerialBytesPerOp: 1000, DOP2BytesPerOp: 1100,
+	}
+	if waived, err := check(prunedScanGates(fine), 2); len(waived) != 1 || err != nil {
+		t.Errorf("passing pruned scan at 2 CPUs: waived %v, err %v", waived, err)
+	}
+}
+
 func TestPick(t *testing.T) {
 	all, err := pick(nil)
 	if err != nil || len(all) != 6 {

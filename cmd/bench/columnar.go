@@ -118,7 +118,7 @@ func runColumnar() (report, []gate, error) {
 	}
 	// Wall clock: serial scans per mode, so the speedup comes from
 	// skipping and late materialization alone, not parallelism.
-	t, err := timePlans(ctx, columnarReps, serial...)
+	t, _, err := timePlans(ctx, columnarReps, serial...)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -112,7 +112,7 @@ func runJoin() (report, []gate, error) {
 	rep.UnderestimateRehashes = unsized.Counter("robustqo_hashjoin_rehashes_total").Value()
 	ctx.Metrics = nil
 
-	t, err := timePlans(ctx, joinReps, plan(0, est), plan(2, est), plan(4, est))
+	t, _, err := timePlans(ctx, joinReps, plan(0, est), plan(2, est), plan(4, est))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -177,11 +177,13 @@ func setup(cfg tpch.Config, sampleSeed uint64) (*storage.Database, *engine.Conte
 
 // timeBest times each op with testing.Benchmark in reps alternating
 // rounds (A B C A B C …), so drift hits every op alike, and returns each
-// op's best ns/op.
-func timeBest(reps int, ops ...func() error) ([]float64, error) {
-	best := make([]float64, len(ops))
-	for i := range best {
-		best[i] = math.Inf(1)
+// op's best ns/op and its fewest bytes allocated per op.
+func timeBest(reps int, ops ...func() error) (ns []float64, bytes []int64, err error) {
+	ns = make([]float64, len(ops))
+	bytes = make([]int64, len(ops))
+	for i := range ns {
+		ns[i] = math.Inf(1)
+		bytes[i] = math.MaxInt64
 	}
 	for r := 0; r < reps; r++ {
 		for i, op := range ops {
@@ -195,16 +197,17 @@ func timeBest(reps int, ops ...func() error) ([]float64, error) {
 				}
 			})
 			if opErr != nil {
-				return nil, opErr
+				return nil, nil, opErr
 			}
-			best[i] = math.Min(best[i], float64(res.NsPerOp()))
+			ns[i] = math.Min(ns[i], float64(res.NsPerOp()))
+			bytes[i] = min(bytes[i], res.AllocedBytesPerOp())
 		}
 	}
-	return best, nil
+	return ns, bytes, nil
 }
 
 // timePlans times full drains of each plan with timeBest.
-func timePlans(ctx *engine.Context, reps int, plans ...engine.Node) ([]float64, error) {
+func timePlans(ctx *engine.Context, reps int, plans ...engine.Node) ([]float64, []int64, error) {
 	ops := make([]func() error, len(plans))
 	for i, n := range plans {
 		ops[i] = func() error {
@@ -262,13 +265,17 @@ type workload struct {
 	DOP4NsPerOp       float64 `json:"dop4_ns_per_op"`
 	SpeedupDOP2       float64 `json:"speedup_dop2"`
 	SpeedupDOP4       float64 `json:"speedup_dop4"`
+	SerialBytesPerOp  int64   `json:"serial_bytes_per_op"`
+	DOP2BytesPerOp    int64   `json:"dop2_bytes_per_op"`
+	DOP4BytesPerOp    int64   `json:"dop4_bytes_per_op"`
 	Rows              int     `json:"rows"`
 	IdenticalRows     bool    `json:"identical_rows"`
 	IdenticalCounters bool    `json:"identical_counters"`
 }
 
 // measureDOP drains the plan at DOP 1, 2, and 4, checking rows and
-// counters against serial, and times each DOP best-of-reps.
+// counters against serial, and times each DOP best-of-reps, with the
+// bytes it allocates per drain.
 func measureDOP(ctx *engine.Context, name string, reps int, plan func(dop int) engine.Node) (workload, error) {
 	plans := []engine.Node{plan(1), plan(2), plan(4)}
 	w := workload{Name: name}
@@ -276,11 +283,12 @@ func measureDOP(ctx *engine.Context, name string, reps int, plan func(dop int) e
 	if w.Rows, w.IdenticalRows, w.IdenticalCounters, err = identity(ctx, plans...); err != nil {
 		return w, err
 	}
-	t, err := timePlans(ctx, reps, plans...)
+	t, bytes, err := timePlans(ctx, reps, plans...)
 	if err != nil {
 		return w, err
 	}
 	w.SerialNsPerOp, w.DOP2NsPerOp, w.DOP4NsPerOp = t[0], t[1], t[2]
+	w.SerialBytesPerOp, w.DOP2BytesPerOp, w.DOP4BytesPerOp = bytes[0], bytes[1], bytes[2]
 	w.SpeedupDOP2, w.SpeedupDOP4 = t[0]/t[1], t[0]/t[2]
 	return w, nil
 }

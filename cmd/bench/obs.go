@@ -52,7 +52,7 @@ func runObs() (report, []gate, error) {
 			Pred:  expr.Cmp{Op: expr.GE, L: expr.C("l_quantity"), R: expr.IntLit(0)},
 		}
 	}
-	t, err := timePlans(ctx, obsReps, plan(), engine.Instrument(plan()), ledgerPlan(plan()))
+	t, _, err := timePlans(ctx, obsReps, plan(), engine.Instrument(plan()), ledgerPlan(plan()))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -161,7 +161,7 @@ func optimizeSpeedup(cache *plancache.Cache, env plancache.Env, opt *optimizer.O
 		if _, _, err := cache.Plan(env, q); err != nil {
 			return err
 		}
-		t, err := timeBest(1,
+		t, _, err := timeBest(1,
 			func() error { _, err := opt.Optimize(q); return err },
 			func() error { _, _, err := cache.Plan(env, q); return err })
 		if err != nil {

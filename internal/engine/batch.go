@@ -126,7 +126,9 @@ func (b *Batch) Truncate(n int) {
 // between operator lifetimes. An operator that owns its output batch
 // takes one with getBatch at Open and returns it with putBatch at Close;
 // batches that merely alias a child's columns (Filter, the non-duplicating
-// Project view) are never pooled. Pooled columns keep their last values
+// Project view) are never pooled. A morsel worker's output batches may
+// instead pass to an Exchange coordinator (morselWorker.handOff), which
+// puts each one back once its consumer has moved past it. Pooled columns keep their last values
 // until overwritten, so retention is bounded by the pool's own lifetime.
 var batchPool = sync.Pool{New: func() any { return &Batch{} }}
 
@@ -259,9 +261,9 @@ const arenaChunk = 8192
 
 // growArena returns arena when it has room for need more values, and a
 // fresh slab otherwise. A consumer's first slab is sized to need and each
-// later one doubles, up to arenaChunk (or need, when larger), so a morsel
-// that keeps a handful of rows never pays for zeroing a full arenaChunk
-// slab, while a large drain still allocates once per arenaChunk values.
+// later one doubles, up to arenaChunk (or need, when larger), so an input
+// of a handful of rows never pays for zeroing a full arenaChunk slab,
+// while a large drain still allocates once per arenaChunk values.
 // The old slab is left as is: rows already pointing into it stay valid.
 //
 //qo:hotpath

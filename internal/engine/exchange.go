@@ -9,18 +9,26 @@ import (
 	"robustqo/internal/cost"
 	"robustqo/internal/expr"
 	"robustqo/internal/obs"
-	"robustqo/internal/value"
 )
 
 // Exchange runs a morselizable source on DOP worker goroutines and merges
 // their output back into the serial Open/Next/Close contract. Workers
 // claim morsels from a shared counter, accumulate into private
-// cost.Counters, and ship (morsel index, rows, counters) back to the
-// coordinator, which re-sequences morsels by index — so rows come out in
-// the source's serial order — and folds the per-worker counters into the
-// shared counters exactly once, in worker order. A full drain is
-// therefore byte-identical, in both rows and counters, to running the
-// source serially.
+// cost.Counters, and ship each morsel's output batches to the
+// coordinator. The coordinator re-sequences morsels by index and emits
+// their batches unchanged, so the parallel stream is batch for batch the
+// serial one; it folds the per-worker counters into the shared counters
+// exactly once, in worker order. A full drain is therefore
+// byte-identical, in both rows and counters, to running the source
+// serially.
+//
+// Batch ownership: a worker gives up each batch it emits (see
+// morselWorker.handOff) and sends it to the coordinator, which owns it
+// from then on. A batch returned from Next stays valid until the next
+// Next or Close, which put it back into batchPool; batches that are
+// never delivered — in the results channel, the out-of-order pending
+// map, the current morsel's unread tail, or held by a worker stopped
+// mid-send — go back to the pool when the pool of workers stops.
 //
 // With DOP < 2, or over a source that cannot be morselized, Exchange
 // degrades to a pure pass-through of the source's own operator.
@@ -51,11 +59,12 @@ func (e *Exchange) Execute(ctx *Context, counters *cost.Counters) (*Result, erro
 func (e *Exchange) Stream() Operator { return &exchangeOp{node: e} }
 
 // morselResult carries one finished morsel from a worker to the
-// coordinator.
+// coordinator: the morsel's output batches, now owned by the receiver,
+// and the error that ended the morsel early, if any.
 type morselResult struct {
-	m    int
-	rows []value.Row
-	err  error
+	m       int
+	batches []*Batch
+	err     error
 }
 
 // workerReport is each worker's final accounting: the counters it
@@ -67,6 +76,7 @@ type workerReport struct {
 	w        int
 	counters cost.Counters
 	morsels  int
+	batches  int64
 	rows     int64
 	busy     time.Duration
 	wall     time.Duration
@@ -103,9 +113,9 @@ type exchangeOp struct {
 
 	next    int                  // next morsel index to emit
 	pending map[int]morselResult // received out-of-order morsels
-	cur     []value.Row
-	curPos  int
-	out     *Batch
+	cur     []*Batch             // unread batches of the current morsel
+	err     error                // raised by the current morsel after cur
+	out     *Batch               // the batch the last Next returned
 	merged  bool
 }
 
@@ -128,13 +138,8 @@ func (o *exchangeOp) Open(ctx *Context, counters *cost.Counters) error {
 			o.shardRows = make([]int64, sr.numShards())
 		}
 	}
-	schema, err := o.node.Source.Schema(ctx)
-	if err != nil {
-		return err
-	}
 	o.nMorsels = runner.numMorsels()
 	o.nWorkers = min(o.node.DOP, o.nMorsels)
-	o.out = getBatch(schema)
 	o.pending = make(map[int]morselResult, o.nWorkers)
 	if o.nWorkers == 0 {
 		return nil
@@ -161,23 +166,24 @@ func (o *exchangeOp) Open(ctx *Context, counters *cost.Counters) error {
 			// worker's whole lifetime — the busy fraction's complement is
 			// time spent waiting on the coordinator's backpressure.
 			var wc cost.Counters
-			var rows int64
+			var rows, batches int64
 			var busy time.Duration
 			var wallStart time.Time
 			if timed {
 				wallStart = time.Now()
 			}
 			morsels := 0
-			wall := func() time.Duration {
+			report := func() {
+				var wall time.Duration
 				if timed {
-					return time.Since(wallStart)
+					wall = time.Since(wallStart)
 				}
-				return 0
+				o.reports <- workerReport{w: w, counters: wc, morsels: morsels, batches: batches, rows: rows, busy: busy, wall: wall}
 			}
+			defer report()
 			for {
 				select {
 				case <-o.stopCh:
-					o.reports <- workerReport{w: w, counters: wc, morsels: morsels, rows: rows, busy: busy, wall: wall()}
 					return
 				default:
 				}
@@ -193,21 +199,24 @@ func (o *exchangeOp) Open(ctx *Context, counters *cost.Counters) error {
 				if timed {
 					busy += time.Since(start)
 				}
-				rows += int64(len(out))
+				for _, b := range out {
+					rows += int64(b.Len())
+				}
+				batches += int64(len(out))
 				morsels++
 				select {
-				case o.results <- morselResult{m: m, rows: out, err: err}:
+				case o.results <- morselResult{m: m, batches: out, err: err}:
 				case <-o.stopCh:
-					o.reports <- workerReport{w: w, counters: wc, morsels: morsels, rows: rows, busy: busy, wall: wall()}
+					// Never delivered: the batches are still this worker's.
+					putBatches(out)
 					return
 				}
 				if err != nil {
 					// Stop claiming; the coordinator surfaces the error
 					// when emission order reaches this morsel.
-					break
+					return
 				}
 			}
-			o.reports <- workerReport{w: w, counters: wc, morsels: morsels, rows: rows, busy: busy, wall: wall()}
 		}(w, mw)
 	}
 	return nil
@@ -217,16 +226,12 @@ func (o *exchangeOp) Next() (*Batch, error) {
 	if o.passthrough != nil {
 		return o.passthrough.Next()
 	}
-	for {
-		// Emit the current morsel's survivors in batch-sized chunks.
-		if o.curPos < len(o.cur) {
-			end := min(o.curPos+BatchSize, len(o.cur))
-			o.out.Reset()
-			for _, r := range o.cur[o.curPos:end] {
-				o.out.AppendRow(r)
-			}
-			o.curPos = end
-			return o.out, nil
+	// The batch the previous pull returned was the caller's until now.
+	putBatch(o.out)
+	o.out = nil
+	for len(o.cur) == 0 {
+		if o.err != nil {
+			return nil, o.err
 		}
 		if o.next >= o.nMorsels {
 			o.finish()
@@ -244,18 +249,19 @@ func (o *exchangeOp) Next() (*Batch, error) {
 			}
 			r := <-o.results
 			if o.shardRows != nil {
-				o.shardRows[o.shardOf(r.m)] += int64(len(r.rows))
+				for _, b := range r.batches {
+					o.shardRows[o.shardOf(r.m)] += int64(b.Len())
+				}
 			}
 			o.pending[r.m] = r
 			res, ok = o.pending[o.next]
 		}
 		delete(o.pending, o.next)
 		o.next = o.next + 1
-		if res.err != nil {
-			return nil, res.err
-		}
-		o.cur, o.curPos = res.rows, 0
+		o.cur, o.err = res.batches, res.err
 	}
+	o.out, o.cur = o.cur[0], o.cur[1:]
+	return o.out, nil
 }
 
 func (o *exchangeOp) Close() {
@@ -266,14 +272,12 @@ func (o *exchangeOp) Close() {
 	o.finish()
 	putBatch(o.out)
 	o.out = nil
-	o.cur = nil
-	o.pending = nil
 }
 
-// finish stops the pool, waits for every worker, and merges the
-// per-worker counters into the shared counters — exactly once, in worker
-// order, so repeated drains and early Closes both account every charge
-// deterministically.
+// finish stops the pool, waits for every worker, returns every
+// undelivered batch to the pool, and merges the per-worker counters into
+// the shared counters — exactly once, in worker order, so repeated
+// drains and early Closes both account every charge deterministically.
 func (o *exchangeOp) finish() {
 	if o.merged {
 		return
@@ -287,12 +291,19 @@ func (o *exchangeOp) finish() {
 	for {
 		// Release any undelivered morsels (nil channel: skipped).
 		select {
-		case <-o.results:
+		case r := <-o.results:
+			putBatches(r.batches)
 			continue
 		default:
 		}
 		break
 	}
+	for _, r := range o.pending {
+		putBatches(r.batches)
+	}
+	o.pending = nil
+	putBatches(o.cur)
+	o.cur = nil
 	reps := make([]workerReport, o.nWorkers)
 	got := make([]bool, o.nWorkers)
 	for {
@@ -305,13 +316,14 @@ func (o *exchangeOp) finish() {
 		}
 		break
 	}
-	var totalRows, totalMorsels, maxWorkerRows int64
+	var totalRows, totalMorsels, totalBatches, maxWorkerRows int64
 	nReported := 0
 	for w := range reps {
 		if got[w] {
 			o.counters.Add(reps[w].counters)
 			totalRows += reps[w].rows
 			totalMorsels += int64(reps[w].morsels)
+			totalBatches += reps[w].batches
 			if reps[w].rows > maxWorkerRows {
 				maxWorkerRows = reps[w].rows
 			}
@@ -331,11 +343,12 @@ func (o *exchangeOp) finish() {
 	}
 	o.exportSkew(totalRows, totalMorsels, maxWorkerRows, nReported)
 	// The workers bypass an instrumented source's pass-through wrapper,
-	// so feed the actual totals into its stats here; EXPLAIN ANALYZE then
-	// reports the scan's actuals as usual.
+	// so feed the rows and batches they emitted into its stats here;
+	// EXPLAIN ANALYZE then reports the source's actuals as it would
+	// serially.
 	if inst, ok := o.node.Source.(*Instrumented); ok && inst.Stats != nil {
 		inst.Stats.Rows += totalRows
-		inst.Stats.Batches += totalMorsels
+		inst.Stats.Batches += totalBatches
 	}
 	// Runners that bypass further Instrumented wrappers inside the source
 	// subtree (HashJoin over an instrumented probe) feed those here too.
@@ -374,23 +387,30 @@ func (o *exchangeOp) exportSkew(totalRows, totalMorsels, maxWorkerRows int64, nW
 	}
 }
 
-// drainMorsel runs morsel m on a worker, charging counters, and copies
-// the rows it emits into arena slabs (see appendArenaRows): they outlive
-// the worker's batch, and a morsel allocates per slab, not per row.
+// drainMorsel runs morsel m on a worker, charging counters, and takes
+// every batch the worker emits with handOff: the batches travel to the
+// coordinator as they are, and the worker goes on filling fresh pooled
+// ones. An error ends the morsel; the batches emitted before it are
+// returned with it, as the serial operator would have emitted them.
 //
 //qo:hotpath
-func drainMorsel(w morselWorker, m int, counters *cost.Counters) ([]value.Row, error) {
+func drainMorsel(w morselWorker, m int, counters *cost.Counters) ([]*Batch, error) {
 	w.seek(m, counters)
-	var rows []value.Row
-	var arena []value.Value
+	// A morsel spans MorselSize/BatchSize windows, and every worker emits
+	// at most one batch per window.
+	batches := make([]*Batch, 0, MorselSize/BatchSize)
 	for {
 		b, err := w.Next()
-		if err != nil {
-			return nil, err
+		if b == nil || err != nil {
+			return batches, err
 		}
-		if b == nil {
-			return rows, nil
-		}
-		rows, arena = appendArenaRows(rows, arena, b)
+		batches = append(batches, w.handOff())
+	}
+}
+
+// putBatches returns every batch of a list to the pool.
+func putBatches(bs []*Batch) {
+	for _, b := range bs {
+		putBatch(b)
 	}
 }

@@ -98,9 +98,9 @@ type hashProbe struct {
 	table    *joinTable
 	pIdx     int
 	out      *Batch
-	// probed counts the probe rows pulled, for the morsel worker's
-	// EXPLAIN ANALYZE feed.
-	probed int64
+	// probed and pulled count the probe rows and batches pulled, for the
+	// morsel worker's EXPLAIN ANALYZE feed.
+	probed, pulled int64
 }
 
 // Next probes the table with each row of the next probe batch, emitting
@@ -116,6 +116,7 @@ func (p *hashProbe) Next() (*Batch, error) {
 			return nil, err
 		}
 		p.probed += int64(b.Len())
+		p.pulled++
 		p.counters.HashProbes += int64(b.Len())
 		p.out.Reset()
 		keys := b.Cols()[p.pIdx]

@@ -215,13 +215,12 @@ func TestHashJoinPresizeMetrics(t *testing.T) {
 	}
 }
 
-// TestMorselProbeAllocs pins the arena discipline of the morsel workers
-// (found by qolint's hotalloc analyzer): the join worker used to build
-// one fresh value.Row per match, costing an allocation per output row
-// across a drain. drainMorsel copies every worker's rows into arena
-// slabs, so a full drain allocates per slab — the ceiling here is one
-// allocation per eight output rows, and the old join code exceeded one
-// per row. The scan workers run under the same ceiling.
+// TestMorselProbeAllocs pins the batch hand-off of the morsel workers:
+// drainMorsel gives the coordinator the worker's own pooled batches, so
+// a full drain allocates per morsel (its batch list) and for whatever
+// the pool fails to recycle, never per row — the ceiling is one
+// allocation per 256 output rows. The join worker runs under the same
+// ceiling as the scans.
 func TestMorselProbeAllocs(t *testing.T) {
 	_, ctx := testDB(t, 4000, 4, 40)
 	cases := []struct {
@@ -253,18 +252,21 @@ func TestMorselProbeAllocs(t *testing.T) {
 			allocs := testing.AllocsPerRun(5, func() {
 				total := 0
 				for m := 0; m < runner.numMorsels(); m++ {
-					rows, err := drainMorsel(w, m, &c)
+					batches, err := drainMorsel(w, m, &c)
 					if err != nil {
 						t.Fatal(err)
 					}
-					total += len(rows)
+					for _, b := range batches {
+						total += b.Len()
+					}
+					putBatches(batches)
 				}
 				if total != tc.wantRows {
 					t.Fatalf("drained %d rows, want %d", total, tc.wantRows)
 				}
 			})
-			if ceiling := float64(tc.wantRows) / 8; allocs > ceiling {
-				t.Fatalf("morsel drain allocs %.0f, want <= %.0f (arena slabs, not per-row)", allocs, ceiling)
+			if ceiling := float64(tc.wantRows) / 256; allocs > ceiling {
+				t.Fatalf("morsel drain allocs %.0f, want <= %.0f (pooled batches, not per-row)", allocs, ceiling)
 			}
 			t.Logf("allocs per full drain: %.0f for %d rows", allocs, tc.wantRows)
 		})

@@ -49,8 +49,9 @@ func (j *HashJoin) openMorsels(ctx *Context, counters *cost.Counters, dop int) (
 }
 
 // hashJoinMorselRunner probes the shared, read-only build table with each
-// probe morsel. probeRows/probeMorsels accumulate the bypassed probe
-// node's actuals for feedStats.
+// probe morsel. probeRows/probeBatches accumulate the bypassed probe
+// node's actuals for feedStats: the rows and batches the workers pulled
+// from it, which are exactly what the serial join pulls.
 type hashJoinMorselRunner struct {
 	node   *HashJoin
 	proto  hashProbe // the finished table and probe key, no source yet
@@ -58,7 +59,7 @@ type hashJoinMorselRunner struct {
 	probe  morselRunner
 
 	probeRows    atomic.Int64
-	probeMorsels atomic.Int64
+	probeBatches atomic.Int64
 }
 
 func (r *hashJoinMorselRunner) numMorsels() int { return r.probe.numMorsels() }
@@ -76,11 +77,11 @@ func (r *hashJoinMorselRunner) newWorker() (morselWorker, error) {
 
 // feedStats implements morselStatsFeeder: the probe node's own Stream was
 // bypassed by the worker pool, so an Instrumented probe gets its actual
-// row and morsel totals here, at the Exchange barrier.
+// row and batch totals here, at the Exchange barrier.
 func (r *hashJoinMorselRunner) feedStats() {
 	if inst, ok := r.node.Probe.(*Instrumented); ok && inst.Stats != nil {
 		inst.Stats.Rows += r.probeRows.Load()
-		inst.Stats.Batches += r.probeMorsels.Load()
+		inst.Stats.Batches += r.probeBatches.Load()
 	}
 	if f, ok := r.probe.(morselStatsFeeder); ok {
 		f.feedStats()
@@ -88,25 +89,30 @@ func (r *hashJoinMorselRunner) feedStats() {
 }
 
 // hashJoinMorselWorker is the probe loop over the probe side's worker;
-// Next is hashProbe.Next.
+// Next is hashProbe.Next. Only the join's output batches are handed off;
+// the probe worker's batches never leave the worker.
 type hashJoinMorselWorker struct {
 	hashProbe
-	r       *hashJoinMorselRunner
-	probe   morselWorker
-	morsels int64
+	r     *hashJoinMorselRunner
+	probe morselWorker
 }
 
 func (w *hashJoinMorselWorker) seek(m int, counters *cost.Counters) {
 	w.probe.seek(m, counters)
 	w.counters = counters
-	w.morsels++
+}
+
+func (w *hashJoinMorselWorker) handOff() *Batch {
+	b := w.out
+	w.out = getBatch(w.r.schema)
+	return b
 }
 
 // release reports the worker's probe totals to the runner; the Exchange
 // releases every worker before its barrier calls feedStats.
 func (w *hashJoinMorselWorker) release() {
 	w.r.probeRows.Add(w.probed)
-	w.r.probeMorsels.Add(w.morsels)
+	w.r.probeBatches.Add(w.pulled)
 	w.probe.release()
 	putBatch(w.out)
 	w.out = nil

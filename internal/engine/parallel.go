@@ -63,11 +63,19 @@ type morselRunner interface {
 // morselWorker is a batch cursor over one morsel at a time. seek
 // positions it at the start of morsel m and charges all later work to
 // counters; Next returns the morsel's next non-empty batch, or nil at the
-// morsel's end. The batch is valid until the next seek, Next or release.
-// release returns worker-owned scratch to the batch pool.
+// morsel's end. That batch is the worker's own output batch, valid until
+// the next seek, Next or release — unless handOff gives it away.
+//
+// handOff returns the batch the last Next returned and takes a fresh one
+// from batchPool for the next Next. The caller then owns the returned
+// batch and must putBatch it when done: this is how an Exchange worker
+// ships its output to the coordinator without copying it. release
+// returns worker-owned scratch, including the current output batch, to
+// the batch pool.
 type morselWorker interface {
 	seek(m int, counters *cost.Counters)
 	Next() (*Batch, error)
+	handOff() *Batch
 	release()
 }
 
@@ -277,6 +285,12 @@ func (w *seqMorselWorker) Next() (*Batch, error) {
 	return nil, nil
 }
 
+func (w *seqMorselWorker) handOff() *Batch {
+	b := w.out
+	w.out = getBatch(w.r.schema)
+	return b
+}
+
 func (w *seqMorselWorker) release() {
 	putBatch(w.out)
 	w.out = nil
@@ -410,6 +424,12 @@ func (w *ridMorselWorker) Next() (*Batch, error) {
 		}
 	}
 	return nil, nil
+}
+
+func (w *ridMorselWorker) handOff() *Batch {
+	b := w.out
+	w.out = getBatch(w.r.schema)
+	return b
 }
 
 func (w *ridMorselWorker) release() {
